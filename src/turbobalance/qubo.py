@@ -10,10 +10,12 @@ The energy bookkeeping keeps the constant parts (the bare-disk m0^2 and the
 constants from expanding the penalty squares) in ``constant_offset`` so that
 ``energy(x) + constant_offset == d(x)**2`` for every valid configuration.
 
-Solvers do not touch the matrix directly: they consume an evaluator object
-(:class:`DenseEvaluator` or :class:`ImplicitEvaluator`) that supports single
-bit flips with incremental energy deltas. The implicit variant never
-materializes Q, which keeps large instances (N^2 in the thousands) cheap.
+No solver touches the matrix directly. The evaluators
+(:class:`DenseEvaluator` and :class:`ImplicitEvaluator`) support single bit
+flips with incremental energy deltas; qubo-sa runs on one, and tabu search
+keeps its own array state that follows the implicit evaluator's arithmetic.
+The implicit variant never materializes Q, which keeps large instances (N^2
+in the thousands) cheap.
 """
 
 from __future__ import annotations
@@ -396,45 +398,61 @@ def export_qubo(problem: QuboProblem, path):
     """
     if problem.matrix is None:
         raise ValueError("export needs a materialized matrix; build with materialize=True")
+    if hasattr(path, "write"):
+        _write_export(problem, path)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_export(problem, fh)
+
+
+def _write_export(problem: QuboProblem, fh):
+    # one write per matrix row, so the text never sits in memory as a whole
     q = problem.matrix
-    dim = problem.dimension
-    lines = [f"# dim {dim} offset {float(problem.constant_offset)!r}"]
-    for i in range(dim):
+    fh.write(f"# dim {problem.dimension} offset {float(problem.constant_offset)!r}\n")
+    for i in range(problem.dimension):
+        lines = []
         if q[i, i] != 0.0:
-            lines.append(f"{i} {i} {float(q[i, i])!r}")
+            lines.append(f"{i} {i} {float(q[i, i])!r}\n")
         row = q[i, i + 1:]
         for off in np.nonzero(row)[0]:
             j = i + 1 + int(off)
-            lines.append(f"{i} {j} {float(2.0 * q[i, j])!r}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            lines.append(f"{i} {j} {float(2.0 * q[i, j])!r}\n")
+        fh.write("".join(lines))
 
 
 def load_qubo_export(path):
     """Read a file written by :func:`export_qubo`; returns (matrix, offset).
 
     The matrix is reconstructed in symmetric form, so energies computed as
-    x^T Q x match the original problem.
+    x^T Q x match the original problem. Malformed input raises ``ValueError``.
     """
     if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[:2] != ["#", "dim"] or head[3] != "offset":
-        raise ValueError(f"malformed header line: {lines[0]!r}")
+        return _read_export(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        return _read_export(fh)
+
+
+def _read_export(fh):
+    # line by line, so the text never sits in memory as a whole
+    lines = (ln for ln in fh if ln.strip())
+    header = next(lines, None)
+    if header is None:
+        raise ValueError("empty QUBO export: expected a '# dim <n> offset <value>' header")
+    head = header.split()
+    if len(head) != 5 or head[:2] != ["#", "dim"] or head[3] != "offset":
+        raise ValueError(
+            f"malformed header line: {header.strip()!r} (expected '# dim <n> offset <value>')"
+        )
     dim = int(head[2])
     offset = float(head[4])
     q = np.zeros((dim, dim))
-    for ln in lines[1:]:
-        si, sj, sv = ln.split()
-        i, j, v = int(si), int(sj), float(sv)
+    for ln in lines:
+        fields = ln.split()
+        if len(fields) != 3:
+            raise ValueError(f"malformed entry line: {ln.strip()!r} (expected 'i j value')")
+        i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"entry line {ln.strip()!r} has an index outside 0..{dim - 1}")
         if i == j:
             q[i, i] = v
         else:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .model import Assignment, BladeSet, DiskImbalance, SlotGeometry, imbalance
 from .qubo import (
+    DEFAULT_PENALTY_FACTOR,
     BinaryConfiguration,
     QuboProblem,
     build_qubo,
@@ -365,14 +366,23 @@ def tabu_solve(
     tenure: int | None = None,
     max_iterations: int | None = None,
     seed: int = 0,
-    evaluator: str = "implicit",
 ) -> SolveReport:
     """Steepest-descent single-flip tabu search over the QUBO.
 
     Each iteration flips the bit with the lowest energy delta among moves
     that are not tabu or that beat the incumbent (aspiration); the flipped
-    bit then stays tabu for ``tenure`` iterations. Ties go to the lowest
+    bit then stays tabu for ``tenure`` iterations. When every move is tabu
+    and none aspirates, all moves are candidates. Ties go to the lowest
     variable index. The only randomness is the seeded starting configuration.
+
+    The search keeps its own N x N array state rather than an evaluator. The
+    delta of flipping (i, j) is a centre-of-mass term, which every flip
+    changes, plus a row-i and a column-j penalty term, and a flip of (i, j)
+    changes only row i and column j of those (the one-flip update of Glover,
+    Lu & Hao, 4OR 2010). So an iteration costs a few O(N^2) vector passes
+    plus O(N) penalty updates. Deltas and energies use the same float
+    operations, in the same order, as :class:`~turbobalance.qubo.ImplicitEvaluator`,
+    so the trajectory equals an evaluator-driven search bit for bit.
     """
     t_start = time.perf_counter()
     n = problem.n
@@ -385,30 +395,82 @@ def tabu_solve(
         raise ValueError("tenure and max_iterations must be positive")
 
     rng = np.random.default_rng(seed)
-    ev = problem.evaluator(evaluator)
-    ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
+    start = rng.integers(0, 2, size=dim, dtype=np.int8)
 
-    energy = ev.energy()
+    m = problem.blades.masses
+    z = SlotGeometry(n).unit_vectors()
+    zx, zy = z[:, 0].copy(), z[:, 1].copy()
+    lam1 = problem.lambda1
+    lam2 = float(problem.lambda2)
+    m_l, zx_l, zy_l, lam1_l = m.tolist(), zx.tolist(), zy.tolist(), lam1.tolist()
+
+    # start state, computed exactly as ImplicitEvaluator.reset does
+    bits = start.reshape(n, n).copy()
+    rows = bits.sum(axis=1).tolist()
+    cols = bits.sum(axis=0).tolist()
+    bf = start.astype(float)
+    ux = float(problem.disk.vector[0]) + float(bf @ (np.repeat(m, n) * np.tile(zx, n)))
+    uy = float(problem.disk.vector[1]) + float(bf @ (np.repeat(m, n) * np.tile(zy, n)))
+    pen = sum(l * (r - 1) ** 2 for l, r in zip(lam1_l, rows)) + lam2 * sum(
+        (c - 1) ** 2 for c in cols
+    )
+    energy = ux * ux + uy * uy + pen - float(problem.constant_offset)
+
+    two_s = 2.0 * (1.0 - 2.0 * bits)  # 2(1 - 2x): twice the flip direction
+    row_pen = lam1[:, None] * (two_s * (np.asarray(rows, dtype=float)[:, None] - 1.0) + 1.0)
+    col_pen = lam2 * (two_s * (np.asarray(cols, dtype=float)[None, :] - 1.0) + 1.0)
+    m_col = m[:, None]
+    m_sq = (m * m)[:, None]
+    deltas = np.empty((n, n))
+    flat = deltas.reshape(-1)
+
     best_energy = energy
     flip_log = []
     best_pos = 0
-    tabu_until = np.zeros(dim, dtype=np.int64)
+    tabu_until = [0] * dim
 
     for k in range(max_iterations):
-        deltas = ev.all_flip_deltas()
-        candidates = (tabu_until <= k) | (energy + deltas < best_energy)
-        if not candidates.any():
-            candidates[:] = True
-        a = int(np.argmin(np.where(candidates, deltas, np.inf)))
-        ev.flip(a)
-        energy = ev.energy()
+        # (2s * m(u . z) + m^2) + row term + column term, as all_flip_deltas
+        np.multiply(m_col, ux * zx + uy * zy, out=deltas)
+        deltas *= two_s
+        deltas += m_sq
+        deltas += row_pen
+        deltas += col_pen
+
+        a = int(flat.argmin())
+        if tabu_until[a] > k and not energy + flat[a] < best_energy:
+            # float addition is monotone, so no costlier tabu move aspirates
+            # either: pick the best non-tabu move, if any
+            flat[flip_log[max(k - tenure, 0):]] = np.inf
+            b = int(flat.argmin())
+            if flat[b] != np.inf:
+                a = b
+
+        i, j = divmod(a, n)
+        s = 1 - 2 * int(bits[i, j])
+        mi = m_l[i]
+        energy += (
+            2.0 * s * mi * (ux * zx_l[j] + uy * zy_l[j]) + mi * mi
+            + lam1_l[i] * (2.0 * s * (rows[i] - 1) + 1.0)
+            + lam2 * (2.0 * s * (cols[j] - 1) + 1.0)
+        )
+        sm = s * mi
+        ux += sm * zx_l[j]
+        uy += sm * zy_l[j]
+        rows[i] += s
+        cols[j] += s
+        bits[i, j] += s
+        two_s[i, j] = -two_s[i, j]
+        row_pen[i] = lam1_l[i] * (two_s[i] * (rows[i] - 1.0) + 1.0)
+        col_pen[:, j] = lam2 * (two_s[:, j] * (cols[j] - 1.0) + 1.0)
+
         flip_log.append(a)
         tabu_until[a] = k + 1 + tenure
         if energy < best_energy:
             best_energy = energy
             best_pos = len(flip_log)
 
-    bits = ev.bits()
+    bits = bits.reshape(-1)
     for a in reversed(flip_log[best_pos:]):
         bits[a] ^= 1
     return _report_from_bits(
@@ -469,21 +531,18 @@ def _run_imbalance_sa(blades, disk, seed, sweeps=None, record_best=False, **_):
 
 
 def _run_qubo_sa(blades, disk, seed, sweeps=None, penalty_factor=None, evaluator="implicit", **_):
-    problem = build_qubo(
-        blades, disk, penalty_factor=penalty_factor or 10.0, materialize=False
-    )
+    if penalty_factor is None:
+        penalty_factor = DEFAULT_PENALTY_FACTOR
+    problem = build_qubo(blades, disk, penalty_factor=penalty_factor, materialize=False)
     schedule = None if sweeps is None else default_qubo_schedule(problem, sweeps)
     return qubo_sa_solve(problem, schedule=schedule, seed=seed, evaluator=evaluator)
 
 
-def _run_tabu(blades, disk, seed, tenure=None, max_iterations=None, penalty_factor=None,
-              evaluator="implicit", **_):
-    problem = build_qubo(
-        blades, disk, penalty_factor=penalty_factor or 10.0, materialize=False
-    )
-    return tabu_solve(
-        problem, tenure=tenure, max_iterations=max_iterations, seed=seed, evaluator=evaluator
-    )
+def _run_tabu(blades, disk, seed, tenure=None, max_iterations=None, penalty_factor=None, **_):
+    if penalty_factor is None:
+        penalty_factor = DEFAULT_PENALTY_FACTOR
+    problem = build_qubo(blades, disk, penalty_factor=penalty_factor, materialize=False)
+    return tabu_solve(problem, tenure=tenure, max_iterations=max_iterations, seed=seed)
 
 
 def _run_brute_force(blades, disk, seed, **_):

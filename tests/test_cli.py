@@ -101,6 +101,14 @@ def test_export_qubo_writes_sparse_file(tmp_path):
     assert header[:3] == ["#", "dim", "16"]
 
 
+def test_solve_rejects_zero_penalty_factor(tmp_path, capsys):
+    generate("NORM", 4, seed=2).save(tmp_path)
+    code = run_cli(["solve", str(tmp_path / "NORM4_0000.json"), "--solver", "tabu",
+                    "--penalty-factor", "0"])
+    assert code == 2
+    assert "penalty_factor" in capsys.readouterr().err
+
+
 def test_usage_error_exits_one():
     assert run_cli(["solve", "x.json", "--solver", "warp-drive"]) == 1
     assert run_cli(["no-such-command"]) == 1

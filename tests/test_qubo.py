@@ -302,6 +302,18 @@ def test_export_header_and_roundtrip():
         assert rel_close(float(x @ matrix @ x), float(x @ problem.matrix @ x), 1e-9)
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "# dim\n",
+    "# dim 4\n",
+    "# dim 4 offset 0.0\n0 9 1.0\n",
+    "# dim 4 offset 0.0\n0 1\n",
+])
+def test_load_rejects_malformed_export(text):
+    with pytest.raises(ValueError, match="header|entry|empty"):
+        load_qubo_export(io.StringIO(text))
+
+
 def test_export_requires_materialized_matrix(tmp_path):
     problem = build_qubo(BladeSet([1.0, 2.0]), DiskImbalance(), materialize=False)
     with pytest.raises(ValueError):

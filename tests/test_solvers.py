@@ -8,6 +8,7 @@ from conftest import random_instance, random_sigma, rel_close
 from turbobalance import (
     AnnealSchedule,
     Assignment,
+    BinaryConfiguration,
     BladeSet,
     DiskImbalance,
     SlotGeometry,
@@ -282,6 +283,80 @@ def test_tabu_is_deterministic_across_repeats():
         assert reports[0].valid == other.valid
         assert reports[0].imbalance == other.imbalance
         assert reports[0].iterations == other.iterations
+
+
+def _evaluator_tabu(problem, tenure, max_iterations, seed, events):
+    """Reference tabu search driven by the implicit evaluator's
+    ``all_flip_deltas`` / ``flip``; counts how often the all-tabu fallback
+    and aspiration decide the move."""
+    dim = problem.dimension
+    rng = np.random.default_rng(seed)
+    ev = problem.evaluator()
+    ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
+    energy = best_energy = ev.energy()
+    flip_log = []
+    best_pos = 0
+    tabu_until = np.zeros(dim, dtype=np.int64)
+    for k in range(max_iterations):
+        deltas = ev.all_flip_deltas()
+        allowed = tabu_until <= k
+        candidates = allowed | (energy + deltas < best_energy)
+        if not candidates.any():
+            candidates[:] = True
+            events["fallback"] += 1
+        a = int(np.argmin(np.where(candidates, deltas, np.inf)))
+        if not allowed[a] and energy + deltas[a] < best_energy:
+            events["aspiration"] += 1
+        ev.flip(a)
+        energy = ev.energy()
+        flip_log.append(a)
+        tabu_until[a] = k + 1 + tenure
+        if energy < best_energy:
+            best_energy = energy
+            best_pos = len(flip_log)
+    bits = ev.bits()
+    for a in reversed(flip_log[best_pos:]):
+        bits[a] ^= 1
+    return BinaryConfiguration(bits)
+
+
+@pytest.mark.parametrize("kind", ["random", "random-disk", "equal"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 20])
+def test_tabu_matches_evaluator_driven_reference(n, kind):
+    if kind == "equal":
+        # equal masses make many deltas mathematically tied; only the order
+        # of the float operations decides those ties
+        blades, disk = BladeSet([1.0e4] * n), DiskImbalance()
+    else:
+        blades, disk = random_instance(np.random.default_rng(100 + n), n,
+                                       with_disk=kind == "random-disk")
+    problem = build_qubo(blades, disk, materialize=False)
+    dim = problem.dimension
+    events = {"fallback": 0, "aspiration": 0}
+    # tenure 1: only the last flip is tabu; 10 + n: the default; dim: every
+    # move can be tabu at once, so the all-tabu fallback runs
+    for tenure in (1, 10 + n, dim):
+        for seed in range(2):
+            iterations = min(50 * dim, 600)
+            report = tabu_solve(problem, tenure=tenure, max_iterations=iterations, seed=seed)
+            expected = _evaluator_tabu(problem, tenure, iterations, seed, events)
+            assert np.array_equal(report.configuration.bits, expected.bits), (tenure, seed)
+            decoded = decode(expected)
+            assert report.valid == isinstance(decoded, Assignment)
+            if report.valid:
+                assert report.imbalance == imbalance(blades, disk, decoded).d
+            else:
+                assert report.imbalance is None
+    assert events["fallback"] > 0
+    if n >= 3:  # smaller problems give the tabu list no room to aspirate
+        assert events["aspiration"] > 0
+
+
+@pytest.mark.parametrize("solver", ["qubo-sa", "tabu"])
+def test_qubo_solvers_reject_zero_penalty_factor(solver):
+    blades, disk = random_instance(np.random.default_rng(13), 4)
+    with pytest.raises(ValueError, match="penalty_factor"):
+        SOLVERS[solver](blades, disk, 0, penalty_factor=0)
 
 
 def test_tabu_rejects_bad_parameters():
