@@ -439,18 +439,27 @@ def _read_export(fh):
     if header is None:
         raise ValueError("empty QUBO export: expected a '# dim <n> offset <value>' header")
     head = header.split()
-    if len(head) != 5 or head[:2] != ["#", "dim"] or head[3] != "offset":
+    try:
+        if len(head) != 5 or head[:2] != ["#", "dim"] or head[3] != "offset":
+            raise ValueError
+        dim, offset = int(head[2]), float(head[4])
+        if dim < 0:
+            raise ValueError
+    except ValueError:
         raise ValueError(
             f"malformed header line: {header.strip()!r} (expected '# dim <n> offset <value>')"
-        )
-    dim = int(head[2])
-    offset = float(head[4])
+        ) from None
     q = np.zeros((dim, dim))
     for ln in lines:
         fields = ln.split()
-        if len(fields) != 3:
-            raise ValueError(f"malformed entry line: {ln.strip()!r} (expected 'i j value')")
-        i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+        try:
+            if len(fields) != 3:
+                raise ValueError
+            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise ValueError(
+                f"malformed entry line: {ln.strip()!r} (expected 'i j value')"
+            ) from None
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"entry line {ln.strip()!r} has an index outside 0..{dim - 1}")
         if i == j:

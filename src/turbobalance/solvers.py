@@ -30,6 +30,10 @@ from .qubo import (
 )
 
 BRUTE_FORCE_LIMIT = 10
+#: moves per block of random draws in imbalance-sa; part of its seed contract.
+#: A block's draws take about 0.2 MiB as Python lists, and the fixed cost of
+#: the three generator calls per block is about 1.5% of the block's moves.
+IMBALANCE_SA_BLOCK_MOVES = 2048
 
 
 @dataclass
@@ -150,7 +154,7 @@ def heuristic_solve(blades: BladeSet, geometry: SlotGeometry | None = None) -> S
 
 
 def default_imbalance_schedule(
-    blades: BladeSet, disk: DiskImbalance, sweeps: int = 2000
+    blades: BladeSet, disk: DiskImbalance, sweeps: int = 2000, start: Assignment | None = None
 ) -> AnnealSchedule:
     """Instance-scaled schedule for the permutation annealer.
 
@@ -160,9 +164,11 @@ def default_imbalance_schedule(
     Starting there lets the walk hop between basins early; cooling by 1e-8
     overall freezes it well below the gaps between distinct placements. The
     floor only matters for exactly equal masses, where any start is optimal.
+    ``start`` is the walk's first placement (default: the heuristic's).
     """
-    start = heuristic_solve(blades)
-    d_start = imbalance(blades, disk, start.assignment).d
+    if start is None:
+        start = heuristic_solve(blades).assignment
+    d_start = imbalance(blades, disk, start).d
     spread = float(blades.masses.max() - blades.masses.min())
     t_initial = max((2.0 * spread + d_start) ** 2, 1e-12)
     return AnnealSchedule.geometric(t_initial, 1e-8 * t_initial, sweeps)
@@ -182,20 +188,40 @@ def swap_delta(masses, zx, zy, sigma0, ux, uy, a, b):
     return nx * nx + ny * ny - (ux * ux + uy * uy)
 
 
+def _swap_draws(rng, n, sweeps):
+    """Per sweep: the n moves' first blades, second blades (distinct from
+    the first) and acceptance uniforms, as lists. Drawn a block of sweeps at
+    a time; only one block is held at once."""
+    block = max(1, IMBALANCE_SA_BLOCK_MOVES // n)
+    for done in range(0, sweeps, block):
+        rows = min(block, sweeps - done)
+        first = rng.integers(0, n, size=(rows, n))
+        second = rng.integers(0, n - 1, size=(rows, n))
+        second += second >= first  # uniform over distinct pairs
+        yield from zip(first.tolist(), second.tolist(), rng.random((rows, n)).tolist())
+
+
 def imbalance_sa_solve(
     blades: BladeSet,
     disk: DiskImbalance,
     schedule: AnnealSchedule | None = None,
     seed: int = 0,
     record_best: bool = False,
+    start: Assignment | None = None,
 ) -> SolveReport:
     """Simulated annealing directly in permutation space.
 
-    The state is always a permutation (start: heuristic placement; move:
-    swap the slots of two distinct uniformly random blades), so every output
-    is valid by construction. Acceptance is Metropolis on the change of d^2,
-    evaluated incrementally through the running residual vector. The best
-    visited permutation is returned.
+    The state is always a permutation (start: ``start``, by default the
+    heuristic placement; move: swap the slots of two distinct uniformly
+    random blades), so every output is valid by construction. Acceptance is
+    Metropolis on the change of d^2, evaluated incrementally through the
+    running residual vector. The best visited permutation is returned.
+
+    Random numbers are drawn per block of sweeps: three generator calls of
+    shape (sweeps in block, N) give the first blade, the second blade and
+    the acceptance uniform of every move in the block. A block holds
+    ``max(1, IMBALANCE_SA_BLOCK_MOVES // N)`` sweeps (the last one may be
+    shorter), so the block size is part of what a seed reproduces.
     """
     t_start = time.perf_counter()
     n = blades.n
@@ -211,11 +237,15 @@ def imbalance_sa_solve(
             iterations=0,
             best_history=[] if record_best else None,
         )
+    if start is None:
+        start = heuristic_solve(blades).assignment
+    if start.n != n:
+        raise ValueError(f"start places {start.n} blades, instance has {n}")
     if schedule is None:
-        schedule = default_imbalance_schedule(blades, disk)
+        schedule = default_imbalance_schedule(blades, disk, start=start)
 
     rng = np.random.default_rng(seed)
-    sigma = heuristic_solve(blades).assignment.slots0.tolist()
+    sigma = start.slots0.tolist()
     z = SlotGeometry(n).unit_vectors()
     zx = z[:, 0].tolist()
     zy = z[:, 1].tolist()
@@ -229,15 +259,9 @@ def imbalance_sa_solve(
     history = [d2] if record_best else None
     exp = math.exp
 
-    for t in schedule.temperatures().tolist():
-        first = rng.integers(0, n, size=n).tolist()
-        second = rng.integers(0, n - 1, size=n).tolist()
-        unif = rng.random(n).tolist()
-        for k in range(n):
-            a = first[k]
-            b = second[k]
-            if b >= a:  # uniform over distinct pairs
-                b += 1
+    draws = _swap_draws(rng, n, schedule.sweeps)
+    for t, (first, second, unif) in zip(schedule.temperatures().tolist(), draws):
+        for a, b, u in zip(first, second, unif):
             sa = sigma[a]
             sb = sigma[b]
             dm = m[a] - m[b]
@@ -245,7 +269,7 @@ def imbalance_sa_solve(
             ny = uy + dm * (zy[sb] - zy[sa])
             nd2 = nx * nx + ny * ny
             delta = nd2 - d2
-            if delta <= 0.0 or unif[k] < exp(-delta / t):
+            if delta <= 0.0 or u < exp(-delta / t):
                 sigma[a] = sb
                 sigma[b] = sa
                 ux, uy, d2 = nx, ny, nd2
@@ -526,8 +550,11 @@ def _run_heuristic(blades, disk, seed, **_):
 
 
 def _run_imbalance_sa(blades, disk, seed, sweeps=None, record_best=False, **_):
-    schedule = None if sweeps is None else default_imbalance_schedule(blades, disk, sweeps)
-    return imbalance_sa_solve(blades, disk, schedule=schedule, seed=seed, record_best=record_best)
+    start = heuristic_solve(blades).assignment
+    schedule = None if sweeps is None else default_imbalance_schedule(blades, disk, sweeps, start)
+    return imbalance_sa_solve(
+        blades, disk, schedule=schedule, seed=seed, record_best=record_best, start=start
+    )
 
 
 def _run_qubo_sa(blades, disk, seed, sweeps=None, penalty_factor=None, evaluator="implicit", **_):

@@ -308,10 +308,18 @@ def test_export_header_and_roundtrip():
     "# dim 4\n",
     "# dim 4 offset 0.0\n0 9 1.0\n",
     "# dim 4 offset 0.0\n0 1\n",
+    "# dim x offset 0.0\n",
+    "# dim -1 offset 0.0\n",
+    "# dim 4 offset b\n",
+    "# dim 4 offset 0.0\nx 1 1.0\n",
+    "# dim 4 offset 0.0\n0 y 1.0\n",
+    "# dim 4 offset 0.0\n0 1 b\n",
 ])
 def test_load_rejects_malformed_export(text):
-    with pytest.raises(ValueError, match="header|entry|empty"):
+    with pytest.raises(ValueError, match="header|entry|empty") as err:
         load_qubo_export(io.StringIO(text))
+    if text:  # the message quotes the offending line
+        assert repr(text.splitlines()[-1]) in str(err.value)
 
 
 def test_export_requires_materialized_matrix(tmp_path):

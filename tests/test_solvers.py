@@ -21,8 +21,11 @@ from turbobalance import (
     qubo_sa_solve,
     tabu_solve,
 )
+from turbobalance import solvers
 from turbobalance.solvers import (
+    IMBALANCE_SA_BLOCK_MOVES,
     SOLVERS,
+    default_imbalance_schedule,
     default_qubo_schedule,
     get_solver,
     swap_delta,
@@ -143,6 +146,50 @@ def test_imbalance_sa_seed_determinism():
     assert a.imbalance == b.imbalance
     assert a.iterations == b.iterations
     assert a.seed == b.seed
+
+
+# Fixed-seed outputs of the block-drawn random stream. A change to how or in
+# what order imbalance-sa draws its random numbers shows up here first.
+IMBALANCE_SA_GOLDEN = [
+    # N = 40 does not divide the block: 51 sweeps per block, so 250 sweeps
+    # are four full blocks and a partial one of 46
+    (40, 11, 250, 3, [39, 2, 16, 17, 33, 7, 11, 13, 20, 21, 1, 27, 4, 30, 25, 32, 15, 18, 35,
+                      34, 9, 14, 8, 6, 5, 40, 38, 31, 29, 12, 23, 3, 28, 22, 36, 37, 19, 26,
+                      24, 10], "0.5705823743419361"),
+    (20, 12, 1, 3, [8, 1, 7, 3, 20, 14, 16, 2, 6, 13, 11, 17, 19, 10, 4, 15, 5, 12, 18, 9],
+     "125.28630297508215"),
+]
+
+
+@pytest.mark.parametrize("n, instance_seed, sweeps, seed, sigma, d", IMBALANCE_SA_GOLDEN)
+def test_imbalance_sa_golden_stream(n, instance_seed, sweeps, seed, sigma, d):
+    blades, disk = random_instance(np.random.default_rng(instance_seed), n, with_disk=True)
+    if sweeps > 1:  # the case spans two full blocks and a partial one
+        block = max(1, IMBALANCE_SA_BLOCK_MOVES // n)
+        assert IMBALANCE_SA_BLOCK_MOVES % n and sweeps > 2 * block and sweeps % block
+    schedule = default_imbalance_schedule(blades, disk, sweeps)
+    report = imbalance_sa_solve(blades, disk, schedule, seed=seed)
+    assert report.assignment.sigma.tolist() == sigma
+    assert repr(report.imbalance) == d
+    assert report.iterations == sweeps * n
+    via_registry = SOLVERS["imbalance-sa"](blades, disk, seed, sweeps=sweeps)
+    assert via_registry.assignment == report.assignment
+
+
+def test_imbalance_sa_runs_the_heuristic_once(monkeypatch):
+    blades, disk = random_instance(np.random.default_rng(6), 9, with_disk=True)
+    calls = []
+    original = solvers.heuristic_solve
+    monkeypatch.setattr(solvers, "heuristic_solve", lambda b: calls.append(b) or original(b))
+    imbalance_sa_solve(blades, disk, seed=2)
+    SOLVERS["imbalance-sa"](blades, disk, 2, sweeps=3)
+    assert len(calls) == 2
+
+
+def test_imbalance_sa_rejects_a_start_of_the_wrong_size():
+    blades, disk = random_instance(np.random.default_rng(6), 9)
+    with pytest.raises(ValueError, match="start"):
+        imbalance_sa_solve(blades, disk, start=Assignment.identity(8))
 
 
 def test_imbalance_sa_best_history_is_monotone():
