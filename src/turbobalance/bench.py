@@ -79,7 +79,7 @@ class SummaryRow:
 
 def _run_decompose(blades, disk, seed, max_subproblem=5, sub_solver="qubo-sa",
                    merge_solver="qubo-sa", sub_solver_params=None,
-                   merge_solver_params=None, **_):
+                   merge_solver_params=None):
     config = DecompositionConfig(
         max_subproblem=max_subproblem,
         sub_solver=sub_solver,

@@ -10,12 +10,13 @@ The energy bookkeeping keeps the constant parts (the bare-disk m0^2 and the
 constants from expanding the penalty squares) in ``constant_offset`` so that
 ``energy(x) + constant_offset == d(x)**2`` for every valid configuration.
 
-No solver touches the matrix directly. The evaluators
-(:class:`DenseEvaluator` and :class:`ImplicitEvaluator`) support single bit
-flips with incremental energy deltas; qubo-sa runs on one, and tabu search
-keeps its own array state that follows the implicit evaluator's arithmetic.
-The implicit variant never materializes Q, which keeps large instances (N^2
-in the thousands) cheap.
+The dense N^2 x N^2 matrix Q is built only on request (``materialize=True``),
+in place in one array, and is what :func:`export_qubo` writes for external
+annealers. No solver touches it. The one evaluator,
+:class:`ImplicitEvaluator`, supports single bit flips with incremental energy
+deltas and never materializes Q, which keeps large instances (N^2 in the
+thousands) cheap; qubo-sa runs on it, and tabu search keeps its own array
+state that follows its arithmetic.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .model import (
 )
 
 DEFAULT_PENALTY_FACTOR = 10.0
+#: edge of the square tiles the in-place symmetrization walks (512 KiB each)
+SYMMETRIZE_TILE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +84,13 @@ class ValidityReport:
 class QuboProblem:
     """Compiled QUBO for one balancing instance.
 
-    ``matrix`` is the full symmetric matrix (objective plus penalties) and
-    ``objective_matrix`` the objective part alone; both are ``None`` when the
-    problem was built with ``materialize=False``. ``lambda1[i-1]`` is the
-    penalty weight of blade i's row constraint, ``lambda2`` the shared column
-    weight.
+    ``matrix`` is the full symmetric matrix (objective plus penalties), the
+    only dense matrix a problem stores; it is ``None`` when the problem was
+    built with ``materialize=False``. ``lambda1[i-1]`` is the penalty weight
+    of blade i's row constraint, ``lambda2`` the shared column weight.
     """
 
     matrix: np.ndarray | None
-    objective_matrix: np.ndarray | None
     lambda1: np.ndarray
     lambda2: float
     constant_offset: float
@@ -100,10 +101,8 @@ class QuboProblem:
     def __post_init__(self):
         lam = np.asarray(self.lambda1, dtype=float)
         _frozen_array(self, "lambda1", lam)
-        for name in ("matrix", "objective_matrix"):
-            value = getattr(self, name)
-            if value is not None:
-                _frozen_array(self, name, value)
+        if self.matrix is not None:
+            _frozen_array(self, "matrix", self.matrix)
 
     @property
     def n(self) -> int:
@@ -113,13 +112,19 @@ class QuboProblem:
     def dimension(self) -> int:
         return self.n * self.n
 
-    def evaluator(self, kind: str = "implicit"):
-        """Fresh single-flip energy evaluator ("implicit" or "dense")."""
-        if kind == "implicit":
-            return ImplicitEvaluator(self)
-        if kind == "dense":
-            return DenseEvaluator(self)
-        raise ValueError(f"unknown evaluator kind {kind!r} (expected 'implicit' or 'dense')")
+    @property
+    def objective_matrix(self) -> np.ndarray | None:
+        """The objective part of ``matrix`` alone (no penalties), computed
+        afresh on each access; ``None`` when nothing was materialized."""
+        if self.matrix is None:
+            return None
+        objective = np.empty_like(self.matrix)
+        _fill_objective(objective, self.blades, self.disk)
+        return objective
+
+    def evaluator(self):
+        """Fresh single-flip energy evaluator (an :class:`ImplicitEvaluator`)."""
+        return ImplicitEvaluator(self)
 
 
 def min_penalties(blades: BladeSet, disk: DiskImbalance):
@@ -154,6 +159,38 @@ def objective_matrix_termwise(blades: BladeSet, disk: DiskImbalance) -> np.ndarr
     return q
 
 
+def _symmetrize(a: np.ndarray):
+    """Replace the square matrix ``a`` by 0.5 * (a + a^T), bit for bit, in
+    place: one tile of the upper triangle at a time, mirrored into the lower
+    one, so the only temporary is one tile."""
+    dim = a.shape[0]
+    t = SYMMETRIZE_TILE
+    buffer = np.empty((min(t, dim), min(t, dim)))
+    for r in range(0, dim, t):
+        for c in range(r, dim, t):
+            upper = a[r:r + t, c:c + t]
+            lower = a[c:c + t, r:r + t]
+            tile = buffer[:upper.shape[0], :upper.shape[1]]
+            np.add(upper, lower.T, out=tile)
+            tile *= 0.5
+            upper[...] = tile
+            lower[...] = tile.T
+
+
+def _fill_objective(out: np.ndarray, blades: BladeSet, disk: DiskImbalance) -> np.ndarray:
+    """Write the objective matrix q^T q + 2 diag(y^T q), with q the
+    2 x N^2 matrix whose column (i, j) is m_i * z_j, into ``out`` and return
+    a view of its diagonal. Symmetry is enforced exactly."""
+    n = blades.n
+    z = SlotGeometry(n).unit_vectors()
+    q = (blades.masses[:, None, None] * z[None, :, :]).reshape(n * n, 2).T
+    np.matmul(q.T, q, out=out)
+    _symmetrize(out)
+    diagonal = np.einsum("ii->i", out)
+    diagonal += 2.0 * (disk.vector @ q)
+    return diagonal
+
+
 def build_qubo(
     blades: BladeSet,
     disk: DiskImbalance,
@@ -169,7 +206,12 @@ def build_qubo(
     bounds would be violated.
 
     With ``materialize=False`` no dense matrix is allocated; the problem can
-    still be solved through its implicit evaluator.
+    still be solved through its implicit evaluator. With ``materialize=True``
+    the matrix is filled in place in one array, with no other allocation of
+    its size: the penalties are added through block and strided views, and
+    the diagonal is then rewritten as objective + (lambda1_i - 2 lambda1_i)
+    + lambda2 (1 - 2), the expanded squares (sum_j x_ij - 1)^2 and
+    (sum_i x_ij - 1)^2 on x^2 = x.
     """
     penalty_factor = float(penalty_factor)
     if penalty_factor <= 1.0:
@@ -182,23 +224,20 @@ def build_qubo(
     lambda2 = penalty_factor * bound2
     offset = disk.m0 ** 2 + float(lambda1.sum()) + n * lambda2
 
-    matrix = objective = None
+    matrix = None
     if materialize:
-        z = SlotGeometry(n).unit_vectors()
-        q = (blades.masses[:, None, None] * z[None, :, :]).reshape(n * n, 2).T
-        objective = q.T @ q
-        objective = 0.5 * (objective + objective.T)  # enforce exact symmetry
-        objective[np.diag_indices(n * n)] += 2.0 * (disk.vector @ q)
-
-        ones = np.ones((n, n))
-        row_pen = np.kron(np.diag(lambda1), ones)
-        row_pen[np.diag_indices(n * n)] -= 2.0 * np.repeat(lambda1, n)
-        col_pen = lambda2 * (np.kron(ones, np.eye(n)) - 2.0 * np.eye(n * n))
-        matrix = objective + row_pen + col_pen
+        matrix = np.empty((n * n, n * n))
+        diagonal = _fill_objective(matrix, blades, disk)
+        objective_diagonal = diagonal.copy()
+        blocks = matrix.reshape(n, n, n, n)  # blocks[i, j, k, l] couples (i, j) with (k, l)
+        for i in range(n):
+            blocks[i, :, i, :] += lambda1[i]  # blade i in two slots
+            blocks[:, i, :, i] += lambda2  # slot i holding two blades
+        l1 = np.repeat(lambda1, n)
+        diagonal[:] = (objective_diagonal + (l1 - 2.0 * l1)) + lambda2 * (1.0 - 2.0)
 
     return QuboProblem(
         matrix=matrix,
-        objective_matrix=objective,
         lambda1=lambda1,
         lambda2=lambda2,
         constant_offset=offset,
@@ -254,57 +293,13 @@ def qubo_energy(problem: QuboProblem, config) -> float:
     return ev.energy()
 
 
-class DenseEvaluator:
-    """Single-flip evaluation against the materialized matrix.
-
-    Keeps the gradient vector g = Q x up to date so a flip delta is O(1) and
-    applying a flip is O(dim).
-    """
-
-    def __init__(self, problem: QuboProblem):
-        if problem.matrix is None:
-            raise ValueError("problem was built with materialize=False; no dense matrix available")
-        self._q = problem.matrix
-        self._diag = np.diag(problem.matrix).copy()
-        self.dimension = problem.dimension
-        self.reset(np.zeros(self.dimension, dtype=np.int8))
-
-    def reset(self, bits):
-        bits = np.asarray(bits, dtype=np.int8).copy()
-        if bits.size != self.dimension:
-            raise ValueError(f"expected {self.dimension} bits, got {bits.size}")
-        self._x = bits
-        xf = bits.astype(float)
-        self._g = self._q @ xf
-        self._energy = float(xf @ self._g)
-
-    def energy(self) -> float:
-        return self._energy
-
-    def bits(self) -> np.ndarray:
-        return self._x.copy()
-
-    def flip_delta(self, a: int) -> float:
-        s = 1 - 2 * int(self._x[a])
-        return 2.0 * s * float(self._g[a]) + self._diag[a]
-
-    def all_flip_deltas(self) -> np.ndarray:
-        s = 1 - 2 * self._x.astype(float)
-        return 2.0 * s * self._g + self._diag
-
-    def flip(self, a: int):
-        s = 1 - 2 * int(self._x[a])
-        self._energy += 2.0 * s * float(self._g[a]) + self._diag[a]
-        self._g += s * self._q[:, a]
-        self._x[a] += s
-
-
 class ImplicitEvaluator:
     """Matrix-free single-flip evaluation.
 
     State is the running center-of-mass vector u = y + sum of active m_i*z_j,
     the row/column popcounts, and the penalty total; a flip delta is O(1)
-    and applying a flip is O(1). Energies match the dense x^T Q x.
+    and applying a flip is O(1). Energies match x^T Q x of the materialized
+    matrix.
     """
 
     def __init__(self, problem: QuboProblem):
@@ -445,11 +440,11 @@ def _read_export(fh):
         dim, offset = int(head[2]), float(head[4])
         if dim < 0:
             raise ValueError
-    except ValueError:
+        q = np.zeros((dim, dim))  # a dim too large to allocate is malformed too
+    except (ValueError, MemoryError):
         raise ValueError(
             f"malformed header line: {header.strip()!r} (expected '# dim <n> offset <value>')"
         ) from None
-    q = np.zeros((dim, dim))
     for ln in lines:
         fields = ln.split()
         try:

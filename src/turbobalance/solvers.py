@@ -331,7 +331,6 @@ def qubo_sa_solve(
     problem: QuboProblem,
     schedule: AnnealSchedule | None = None,
     seed: int = 0,
-    evaluator: str = "implicit",
     record_best: bool = False,
 ) -> SolveReport:
     """Single-bit-flip Metropolis annealing over the N^2 binary variables.
@@ -345,7 +344,7 @@ def qubo_sa_solve(
         schedule = default_qubo_schedule(problem)
     dim = problem.dimension
     rng = np.random.default_rng(seed)
-    ev = problem.evaluator(evaluator)
+    ev = problem.evaluator()
     ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
 
     offset = problem.constant_offset
@@ -545,11 +544,11 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance, batch_size: int = 2
     )
 
 
-def _run_heuristic(blades, disk, seed, **_):
+def _run_heuristic(blades, disk, seed):
     return heuristic_solve(blades)
 
 
-def _run_imbalance_sa(blades, disk, seed, sweeps=None, record_best=False, **_):
+def _run_imbalance_sa(blades, disk, seed, sweeps=None, record_best=False):
     start = heuristic_solve(blades).assignment
     schedule = None if sweeps is None else default_imbalance_schedule(blades, disk, sweeps, start)
     return imbalance_sa_solve(
@@ -557,26 +556,27 @@ def _run_imbalance_sa(blades, disk, seed, sweeps=None, record_best=False, **_):
     )
 
 
-def _run_qubo_sa(blades, disk, seed, sweeps=None, penalty_factor=None, evaluator="implicit", **_):
+def _run_qubo_sa(blades, disk, seed, sweeps=None, penalty_factor=None):
     if penalty_factor is None:
         penalty_factor = DEFAULT_PENALTY_FACTOR
     problem = build_qubo(blades, disk, penalty_factor=penalty_factor, materialize=False)
     schedule = None if sweeps is None else default_qubo_schedule(problem, sweeps)
-    return qubo_sa_solve(problem, schedule=schedule, seed=seed, evaluator=evaluator)
+    return qubo_sa_solve(problem, schedule=schedule, seed=seed)
 
 
-def _run_tabu(blades, disk, seed, tenure=None, max_iterations=None, penalty_factor=None, **_):
+def _run_tabu(blades, disk, seed, tenure=None, max_iterations=None, penalty_factor=None):
     if penalty_factor is None:
         penalty_factor = DEFAULT_PENALTY_FACTOR
     problem = build_qubo(blades, disk, penalty_factor=penalty_factor, materialize=False)
     return tabu_solve(problem, tenure=tenure, max_iterations=max_iterations, seed=seed)
 
 
-def _run_brute_force(blades, disk, seed, **_):
+def _run_brute_force(blades, disk, seed):
     return brute_force_solve(blades, disk)
 
 
-#: Uniform entry points: fn(blades, disk, seed, **params) -> SolveReport.
+#: Uniform entry points: fn(blades, disk, seed, **params) -> SolveReport. Each
+#: takes only its own solver's parameters; any other raises ``TypeError``.
 SOLVERS = {
     "heuristic": _run_heuristic,
     "imbalance-sa": _run_imbalance_sa,

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_instance
 from turbobalance import BladeSet, DiskImbalance, run_benchmark, standard_corpus, summarize
 from turbobalance.bench import (
+    BENCH_SOLVERS,
     IMBALANCE_THRESHOLD,
     RunRecord,
     iter_benchmark,
@@ -208,3 +209,22 @@ def test_full_portfolio_over_synthetic_corpus(tmp_path):
     assert all(r.valid and r.meets_threshold for r in sa_records)
     decompose_records = [r for r in records if r.solver == "decompose"]
     assert all(r.valid for r in decompose_records)
+
+
+#: per registry entry, a parameter that belongs to some other solver
+FOREIGN_PARAMS = {
+    "heuristic": "sweeps",
+    "imbalance-sa": "max_iterations",
+    "qubo-sa": "tenure",
+    "tabu": "sweeps",
+    "brute-force": "penalty_factor",
+    "decompose": "sweeps",
+}
+
+
+@pytest.mark.parametrize("solver", sorted(BENCH_SOLVERS))
+def test_registry_entry_rejects_a_foreign_parameter(solver):
+    blades, disk = random_instance(np.random.default_rng(40), 4)
+    name = FOREIGN_PARAMS[solver]
+    with pytest.raises(TypeError, match=name):
+        BENCH_SOLVERS[solver](blades, disk, 0, **{name: 7})

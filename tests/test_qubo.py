@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from turbobalance import (
     min_penalties,
     qubo_energy,
 )
-from turbobalance.qubo import load_qubo_export, objective_matrix_termwise
+from turbobalance.model import SlotGeometry
+from turbobalance.qubo import (
+    SYMMETRIZE_TILE,
+    _symmetrize,
+    load_qubo_export,
+    objective_matrix_termwise,
+)
 
 
 def test_min_penalties_balanced_disk():
@@ -77,6 +84,64 @@ def test_construction_paths_agree():
         termwise = objective_matrix_termwise(blades, disk)
         tolerance = 1e-9 * float(blades.masses.max()) ** 2
         assert np.abs(problem.objective_matrix - termwise).max() <= tolerance
+
+
+def _kron_build(blades, disk, penalty_factor):
+    """Reference (objective, matrix) pair from full-size temporaries: the
+    Kronecker-product construction that build_qubo replaced by an in-place
+    fill with the same float operations."""
+    n = blades.n
+    bounds, bound2 = min_penalties(blades, disk)
+    lambda1 = penalty_factor * bounds
+    lambda2 = penalty_factor * bound2
+    z = SlotGeometry(n).unit_vectors()
+    q = (blades.masses[:, None, None] * z[None, :, :]).reshape(n * n, 2).T
+    objective = q.T @ q
+    objective = 0.5 * (objective + objective.T)
+    objective[np.diag_indices(n * n)] += 2.0 * (disk.vector @ q)
+    ones = np.ones((n, n))
+    row_pen = np.kron(np.diag(lambda1), ones)
+    row_pen[np.diag_indices(n * n)] -= 2.0 * np.repeat(lambda1, n)
+    col_pen = lambda2 * (np.kron(ones, np.eye(n)) - 2.0 * np.eye(n * n))
+    return objective, objective + row_pen + col_pen
+
+
+@pytest.mark.parametrize("factor", [10.0, 1.5])
+@pytest.mark.parametrize("with_disk", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 23])
+def test_in_place_build_equals_kron_construction(n, with_disk, factor):
+    # dims 1..529 fall below, on and above one symmetrization tile, and
+    # 289 and 529 are not multiples of it
+    assert SYMMETRIZE_TILE == 256
+    blades, disk = random_instance(np.random.default_rng(100 + n), n, with_disk=with_disk)
+    problem = build_qubo(blades, disk, penalty_factor=factor)
+    objective, matrix = _kron_build(blades, disk, factor)
+    assert np.array_equal(problem.matrix, matrix)
+    assert np.array_equal(problem.objective_matrix, objective)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 255, 256, 257, 529])
+def test_tiled_symmetrize_equals_half_the_sum_with_the_transpose(dim):
+    # q^T q comes out of BLAS symmetric already, so the builder's inputs
+    # cannot show a tile that is skipped or mirrored wrongly; these can
+    assert SYMMETRIZE_TILE == 256
+    a = np.random.default_rng(dim).normal(size=(dim, dim))
+    expected = 0.5 * (a + a.T)
+    _symmetrize(a)
+    assert np.array_equal(a, expected)
+
+
+def test_in_place_build_peaks_at_one_matrix():
+    blades, disk = random_instance(np.random.default_rng(31), 24, with_disk=True)
+    one_matrix = (24 * 24) ** 2 * 8
+    tracemalloc.start()
+    try:
+        problem = build_qubo(blades, disk, materialize=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.matrix.nbytes == one_matrix
+    assert peak <= 1.5 * one_matrix
 
 
 def test_matrix_is_exactly_symmetric():
@@ -209,7 +274,7 @@ def test_sampled_minimum_at_n5_n6_is_a_permutation():
     for n in (5, 6):
         blades, disk = random_instance(rng, n, with_disk=True)
         problem = build_qubo(blades, disk)
-        evaluator = problem.evaluator("dense")
+        evaluator = problem.evaluator()
         best_perm = min(
             qubo_energy(problem, encode(Assignment(np.asarray(perm) + 1)))
             for perm in itertools.permutations(range(n))
@@ -221,27 +286,35 @@ def test_sampled_minimum_at_n5_n6_is_a_permutation():
         assert min(probes) >= best_perm - 1e-6 * abs(best_perm)
 
 
-def test_dense_and_implicit_evaluators_agree():
+def _dense_energy_and_deltas(matrix, bits):
+    """x^T Q x and every single-flip delta 2 (1 - 2 x_a) (Q x)_a + Q_aa,
+    straight from the materialized matrix."""
+    x = bits.astype(float)
+    g = matrix @ x
+    return float(x @ g), 2.0 * (1.0 - 2.0 * x) * g + np.diag(matrix)
+
+
+def test_implicit_evaluator_agrees_with_dense_matrix():
     rng = np.random.default_rng(27)
     for n in (2, 4, 7):
         blades, disk = random_instance(rng, n, with_disk=True)
         problem = build_qubo(blades, disk)
-        dense = problem.evaluator("dense")
-        implicit = problem.evaluator("implicit")
+        implicit = problem.evaluator()
         bits = rng.integers(0, 2, size=problem.dimension, dtype=np.int8)
-        dense.reset(bits)
         implicit.reset(bits)
-        assert rel_close(dense.energy(), implicit.energy(), 1e-9)
-        deltas_d = dense.all_flip_deltas()
+        energy_d, deltas_d = _dense_energy_and_deltas(problem.matrix, bits)
+        assert rel_close(energy_d, implicit.energy(), 1e-9)
         deltas_i = implicit.all_flip_deltas()
         assert np.all(np.abs(deltas_d - deltas_i) <= 1e-6 * np.maximum(1.0, np.abs(deltas_d)))
         for a in rng.integers(0, problem.dimension, size=50):
             a = int(a)
-            assert rel_close(dense.flip_delta(a), implicit.flip_delta(a), 1e-6)
-            dense.flip(a)
+            _, deltas_d = _dense_energy_and_deltas(problem.matrix, implicit.bits())
+            assert rel_close(deltas_d[a], implicit.flip_delta(a), 1e-6)
             implicit.flip(a)
-        assert np.array_equal(dense.bits(), implicit.bits())
-        assert rel_close(dense.energy(), implicit.energy(), 1e-6)
+            bits[a] ^= 1
+        assert np.array_equal(bits, implicit.bits())
+        energy_d, _ = _dense_energy_and_deltas(problem.matrix, bits)
+        assert rel_close(energy_d, implicit.energy(), 1e-6)
 
 
 def test_incremental_energy_does_not_drift():
@@ -249,22 +322,13 @@ def test_incremental_energy_does_not_drift():
     rng = np.random.default_rng(30)
     blades, disk = random_instance(rng, 8, with_disk=True)
     problem = build_qubo(blades, disk)
-    for kind in ("implicit", "dense"):
-        evaluator = problem.evaluator(kind)
-        evaluator.reset(rng.integers(0, 2, size=problem.dimension, dtype=np.int8))
-        for a in rng.integers(0, problem.dimension, size=20_000):
-            evaluator.flip(int(a))
-        walked = evaluator.energy()
-        evaluator.reset(evaluator.bits())
-        assert rel_close(walked, evaluator.energy(), 1e-6)
-
-
-def test_evaluator_kind_validation():
-    problem = build_qubo(BladeSet([1.0, 2.0]), DiskImbalance(), materialize=False)
-    with pytest.raises(ValueError):
-        problem.evaluator("dense")  # no matrix materialized
-    with pytest.raises(ValueError):
-        problem.evaluator("nonsense")
+    evaluator = problem.evaluator()
+    evaluator.reset(rng.integers(0, 2, size=problem.dimension, dtype=np.int8))
+    for a in rng.integers(0, problem.dimension, size=20_000):
+        evaluator.flip(int(a))
+    walked = evaluator.energy()
+    evaluator.reset(evaluator.bits())
+    assert rel_close(walked, evaluator.energy(), 1e-6)
 
 
 def test_implicit_energy_matches_dense_qubo_energy():
@@ -273,6 +337,7 @@ def test_implicit_energy_matches_dense_qubo_energy():
     dense_problem = build_qubo(blades, disk)
     implicit_problem = build_qubo(blades, disk, materialize=False)
     assert implicit_problem.matrix is None
+    assert implicit_problem.objective_matrix is None
     for _ in range(20):
         bits = rng.integers(0, 2, size=dense_problem.dimension, dtype=np.int8)
         assert rel_close(
@@ -314,6 +379,7 @@ def test_export_header_and_roundtrip():
     "# dim 4 offset 0.0\nx 1 1.0\n",
     "# dim 4 offset 0.0\n0 y 1.0\n",
     "# dim 4 offset 0.0\n0 1 b\n",
+    "# dim 10000000000 offset 0.0\n",  # numpy refuses the size without allocating
 ])
 def test_load_rejects_malformed_export(text):
     with pytest.raises(ValueError, match="header|entry|empty") as err:

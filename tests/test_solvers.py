@@ -281,15 +281,19 @@ def test_qubo_sa_reports_validity_honestly():
     assert starved is not None, "expected at least one invalid outcome under a starved schedule"
 
 
-def test_qubo_sa_dense_evaluator_gives_valid_reports():
+def test_qubo_sa_on_a_materialized_problem_gives_valid_reports():
+    # the materialized matrix is not a solver path: the run equals the
+    # matrix-free one bit for bit
     rng = np.random.default_rng(10)
     blades, disk = random_instance(rng, 4, with_disk=True)
-    problem = build_qubo(blades, disk)
-    report = qubo_sa_solve(problem, seed=3, evaluator="dense")
+    report = qubo_sa_solve(build_qubo(blades, disk), seed=3)
     if report.valid:
         recomputed = imbalance(blades, disk, report.assignment).d
         assert rel_close(report.imbalance, recomputed, 1e-9)
     assert report.configuration is not None
+    free = qubo_sa_solve(build_qubo(blades, disk, materialize=False), seed=3)
+    assert np.array_equal(report.configuration.bits, free.configuration.bits)
+    assert report.imbalance == free.imbalance
 
 
 def test_qubo_sa_best_history_is_monotone():
@@ -440,6 +444,13 @@ def test_brute_force_rejects_oversized_instance():
     assert "11" in str(err.value)
 
 
+ORACLE_BUDGETS = {
+    "imbalance-sa": {"sweeps": 50},
+    "qubo-sa": {"sweeps": 50},
+    "tabu": {"max_iterations": 200},
+}
+
+
 def test_oracle_dominance_across_all_solvers():
     rng = np.random.default_rng(14)
     for k in range(10):
@@ -447,7 +458,7 @@ def test_oracle_dominance_across_all_solvers():
         blades, disk = random_instance(rng, n, with_disk=bool(k % 2))
         optimum = brute_force_solve(blades, disk).imbalance
         for name, solver in SOLVERS.items():
-            report = solver(blades, disk, seed=k, sweeps=50, max_iterations=200)
+            report = solver(blades, disk, seed=k, **ORACLE_BUDGETS.get(name, {}))
             if not report.valid:
                 continue
             achieved = imbalance(blades, disk, report.assignment).d
