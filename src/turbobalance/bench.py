@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +161,9 @@ def _iter_tasks(tasks, jobs):
         for task in tasks:
             yield _execute_run(task)
     else:
+        # deferred: the process pool module is a sizable share of import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(_execute_run, tasks)
 

@@ -10,6 +10,7 @@ error, 2 data error. The default corpus directory is ``./corpus`` unless the
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from . import bench as bench_mod
 from . import datasets
 from .datasets import InstanceFormatError, load_instance
 from .decompose import DecompositionConfig, decompose_solve
-from .qubo import build_qubo, export_qubo
+from .qubo import build_qubo, decode, export_qubo
 
 ENV_CORPUS = "TURBOBALANCE_CORPUS"
 
@@ -136,6 +137,21 @@ def _solver_params(args) -> dict:
     }
 
 
+#: ``solve`` flags passed on as the registry parameter of the same name
+_SOLVER_FLAGS = ("sweeps", "penalty_factor", "tenure", "max_iterations")
+
+
+def _dropped_solve_flag(args) -> str | None:
+    """The first ``solve`` flag given that the chosen solver would ignore."""
+    accepted = inspect.signature(bench_mod.BENCH_SOLVERS[args.solver]).parameters
+    for dest in _SOLVER_FLAGS:
+        if getattr(args, dest) is not None and dest not in accepted:
+            return "--" + dest.replace("_", "-")
+    if args.trace is not None and args.solver != "decompose":
+        return "--trace"
+    return None
+
+
 def _write_text(path: Path | None, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -164,7 +180,7 @@ def _cmd_generate(args) -> int:
 
 
 def _report_dict(name: str, report) -> dict:
-    return {
+    out = {
         "instance": name,
         "solver": report.solver_name,
         "seed": report.seed,
@@ -174,6 +190,12 @@ def _report_dict(name: str, report) -> dict:
         "iterations": report.iterations,
         "wall_time_ms": report.wall_time * 1e3,
     }
+    if not report.valid and report.configuration is not None:
+        # how far the output is from one-hot: rows / columns with popcount != 1
+        violations = decode(report.configuration)
+        out["violated_rows"] = len(violations.row_violations)
+        out["violated_columns"] = len(violations.col_violations)
+    return out
 
 
 def _cmd_solve(args) -> int:
@@ -269,7 +291,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "solve":
+        flag = _dropped_solve_flag(args)
+        if flag is not None:
+            parser.error(f"{flag} is not used by solver {args.solver!r}")
     try:
         return _COMMANDS[args.command](args)
     except (InstanceFormatError, ValueError, OSError) as err:

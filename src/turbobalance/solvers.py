@@ -405,7 +405,20 @@ def tabu_solve(
     Lu & Hao, 4OR 2010). So an iteration costs a few O(N^2) vector passes
     plus O(N) penalty updates. Deltas and energies use the same float
     operations, in the same order, as :class:`~turbobalance.qubo.ImplicitEvaluator`,
-    so the trajectory equals an evaluator-driven search bit for bit.
+    so the trajectory equals an evaluator-driven search bit for bit:
+
+    - The centre-of-mass term is ``(2(1 - 2x) m) * (u . z)`` from one stored
+      array, where the evaluator computes ``2(1 - 2x) * (m * (u . z))``.
+      Scaling by +-2 is exact, so both round to the same double (barring
+      overflow or subnormal products).
+    - A row-i penalty entry is ``lam1_i * (+-2(r_i - 1) + 1)``: it takes only
+      two values, chosen by the bit. After a flip the pair is computed once
+      with the evaluator's operations and written to the row by indexing it
+      with the row's bits; likewise for column j with ``lam2``.
+    - The last ``min(tenure, max_iterations)`` flips sit in a ring whose
+      unused slots point at a spare slot just past the deltas, so one fancy
+      assignment of ``+inf`` masks every tabu move. Nothing is sized by
+      ``tenure`` alone.
     """
     t_start = time.perf_counter()
     n = problem.n
@@ -428,7 +441,7 @@ def tabu_solve(
     m_l, zx_l, zy_l, lam1_l = m.tolist(), zx.tolist(), zy.tolist(), lam1.tolist()
 
     # start state, computed exactly as ImplicitEvaluator.reset does
-    bits = start.reshape(n, n).copy()
+    bits = start.reshape(n, n)
     rows = bits.sum(axis=1).tolist()
     cols = bits.sum(axis=0).tolist()
     bf = start.astype(float)
@@ -442,10 +455,20 @@ def tabu_solve(
     two_s = 2.0 * (1.0 - 2.0 * bits)  # 2(1 - 2x): twice the flip direction
     row_pen = lam1[:, None] * (two_s * (np.asarray(rows, dtype=float)[:, None] - 1.0) + 1.0)
     col_pen = lam2 * (two_s * (np.asarray(cols, dtype=float)[None, :] - 1.0) + 1.0)
-    m_col = m[:, None]
-    m_sq = (m * m)[:, None]
-    deltas = np.empty((n, n))
-    flat = deltas.reshape(-1)
+    tsm = two_s * m[:, None]
+    m_sq = np.repeat((m * m)[:, None], n, axis=1)
+    buf = np.empty(dim + 1)  # deltas, then a spare slot unused ring entries point at
+    flat = buf[:dim]
+    deltas = flat.reshape(n, n)
+
+    bits_l = start.tolist()
+    bits_ip = start.astype(np.intp).reshape(n, n)
+    bit_rows, bit_cols = list(bits_ip), list(bits_ip.T)
+    pen_rows, pen_cols = list(row_pen), list(col_pen.T)
+    pair = np.empty(2)
+    ring = np.full(min(tenure, max_iterations), dim, dtype=np.intp)  # the last flips
+    ring_len = len(ring)
+    argmin, take, inf = flat.argmin, pair.take, math.inf
 
     best_energy = energy
     flip_log = []
@@ -454,50 +477,60 @@ def tabu_solve(
 
     for k in range(max_iterations):
         # (2s * m(u . z) + m^2) + row term + column term, as all_flip_deltas
-        np.multiply(m_col, ux * zx + uy * zy, out=deltas)
-        deltas *= two_s
+        np.multiply(tsm, ux * zx + uy * zy, out=deltas)
         deltas += m_sq
         deltas += row_pen
         deltas += col_pen
 
-        a = int(flat.argmin())
+        a = int(argmin())
         if tabu_until[a] > k and not energy + flat[a] < best_energy:
             # float addition is monotone, so no costlier tabu move aspirates
             # either: pick the best non-tabu move, if any
-            flat[flip_log[max(k - tenure, 0):]] = np.inf
-            b = int(flat.argmin())
-            if flat[b] != np.inf:
+            buf[ring] = inf
+            b = int(argmin())
+            if flat[b] != inf:
                 a = b
 
         i, j = divmod(a, n)
-        s = 1 - 2 * int(bits[i, j])
+        x = bits_l[a]
+        s = 1 - 2 * x
         mi = m_l[i]
+        r = rows[i]
+        c = cols[j]
         energy += (
             2.0 * s * mi * (ux * zx_l[j] + uy * zy_l[j]) + mi * mi
-            + lam1_l[i] * (2.0 * s * (rows[i] - 1) + 1.0)
-            + lam2 * (2.0 * s * (cols[j] - 1) + 1.0)
+            + lam1_l[i] * (2.0 * s * (r - 1) + 1.0)
+            + lam2 * (2.0 * s * (c - 1) + 1.0)
         )
         sm = s * mi
         ux += sm * zx_l[j]
         uy += sm * zy_l[j]
-        rows[i] += s
-        cols[j] += s
-        bits[i, j] += s
-        two_s[i, j] = -two_s[i, j]
-        row_pen[i] = lam1_l[i] * (two_s[i] * (rows[i] - 1.0) + 1.0)
-        col_pen[:, j] = lam2 * (two_s[:, j] * (cols[j] - 1.0) + 1.0)
+        r += s
+        c += s
+        rows[i] = r
+        cols[j] = c
+        bits_l[a] = bits_ip[i, j] = 1 - x
+        tsm[i, j] = -2.0 * s * mi
+        # row i and column j penalties take one of two values, chosen by the bit
+        li = lam1_l[i]
+        pair[0] = li * (2.0 * (r - 1.0) + 1.0)
+        pair[1] = li * (-2.0 * (r - 1.0) + 1.0)
+        take(bit_rows[i], out=pen_rows[i], mode="clip")
+        pair[0] = lam2 * (2.0 * (c - 1.0) + 1.0)
+        pair[1] = lam2 * (-2.0 * (c - 1.0) + 1.0)
+        take(bit_cols[j], out=pen_cols[j], mode="clip")
 
         flip_log.append(a)
         tabu_until[a] = k + 1 + tenure
+        ring[k % ring_len] = a
         if energy < best_energy:
             best_energy = energy
             best_pos = len(flip_log)
 
-    bits = bits.reshape(-1)
     for a in reversed(flip_log[best_pos:]):
-        bits[a] ^= 1
+        bits_l[a] ^= 1
     return _report_from_bits(
-        problem, bits, "tabu", seed, time.perf_counter() - t_start, max_iterations
+        problem, bits_l, "tabu", seed, time.perf_counter() - t_start, max_iterations
     )
 
 

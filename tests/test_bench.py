@@ -1,11 +1,16 @@
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_instance
+import turbobalance
 from turbobalance import BladeSet, DiskImbalance, run_benchmark, standard_corpus, summarize
 from turbobalance.bench import (
     BENCH_SOLVERS,
@@ -228,3 +233,13 @@ def test_registry_entry_rejects_a_foreign_parameter(solver):
     name = FOREIGN_PARAMS[solver]
     with pytest.raises(TypeError, match=name):
         BENCH_SOLVERS[solver](blades, disk, 0, **{name: 7})
+
+
+def test_import_does_not_load_the_process_pool():
+    # the pool module is imported only when a benchmark runs with jobs > 1
+    src = str(Path(turbobalance.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, turbobalance; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,7 +1,10 @@
 import json
 
-from turbobalance import generate
+import pytest
+
+from turbobalance import decode, generate
 from turbobalance.cli import main
+from turbobalance.solvers import SOLVERS
 
 
 def run_cli(argv):
@@ -107,6 +110,51 @@ def test_solve_rejects_zero_penalty_factor(tmp_path, capsys):
                     "--penalty-factor", "0"])
     assert code == 2
     assert "penalty_factor" in capsys.readouterr().err
+
+
+def test_solve_reports_violation_counts_of_an_invalid_output(tmp_path, capsys):
+    instance = generate("NORM", 6, seed=2)
+    instance.save(tmp_path)
+    path = str(tmp_path / "NORM6_0000.json")
+    # one tabu iteration from a random start leaves the bits far from one-hot
+    assert run_cli(["solve", path, "--solver", "tabu", "--max-iterations", "1",
+                    "--seed", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False
+    raw = SOLVERS["tabu"](instance.blade_set(), instance.disk(), 3, max_iterations=1)
+    violations = decode(raw.configuration)
+    assert report["violated_rows"] == len(violations.row_violations)
+    assert report["violated_columns"] == len(violations.col_violations)
+    assert report["violated_rows"] + report["violated_columns"] > 0
+
+    assert run_cli(["solve", path, "--solver", "tabu", "--seed", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is True
+    assert "violated_rows" not in report and "violated_columns" not in report
+
+
+@pytest.mark.parametrize("solver, flag", [
+    ("imbalance-sa", "--tenure"),
+    ("imbalance-sa", "--max-iterations"),
+    ("imbalance-sa", "--penalty-factor"),
+    ("qubo-sa", "--tenure"),
+    ("tabu", "--sweeps"),
+    ("decompose", "--sweeps"),
+    ("decompose", "--penalty-factor"),
+    ("heuristic", "--max-iterations"),
+    ("brute-force", "--sweeps"),
+    ("tabu", "--trace"),
+    ("imbalance-sa", "--trace"),
+])
+def test_solve_rejects_a_flag_the_solver_drops(tmp_path, capsys, solver, flag):
+    generate("NORM", 4, seed=2).save(tmp_path)
+    trace = tmp_path / "trace.json"
+    value = str(trace) if flag == "--trace" else "5"
+    code = run_cli(["solve", str(tmp_path / "NORM4_0000.json"), "--solver", solver, flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert flag in err and solver in err
+    assert not trace.exists()
 
 
 def test_usage_error_exits_one():

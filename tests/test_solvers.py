@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ def _evaluator_tabu(problem, tenure, max_iterations, seed, events):
 
 
 @pytest.mark.parametrize("kind", ["random", "random-disk", "equal"])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 20])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 20, 23, 40])
 def test_tabu_matches_evaluator_driven_reference(n, kind):
     if kind == "equal":
         # equal masses make many deltas mathematically tied; only the order
@@ -384,11 +385,12 @@ def test_tabu_matches_evaluator_driven_reference(n, kind):
     problem = build_qubo(blades, disk, materialize=False)
     dim = problem.dimension
     events = {"fallback": 0, "aspiration": 0}
+    iterations = min(50 * dim, 600)
     # tenure 1: only the last flip is tabu; 10 + n: the default; dim: every
-    # move can be tabu at once, so the all-tabu fallback runs
-    for tenure in (1, 10 + n, dim):
+    # move can be tabu at once, so the all-tabu fallback runs; dim + 3: more
+    # tabu slots than moves; iterations + 1: the tabu ring never wraps
+    for tenure in (1, 10 + n, dim, dim + 3, iterations + 1):
         for seed in range(2):
-            iterations = min(50 * dim, 600)
             report = tabu_solve(problem, tenure=tenure, max_iterations=iterations, seed=seed)
             expected = _evaluator_tabu(problem, tenure, iterations, seed, events)
             assert np.array_equal(report.configuration.bits, expected.bits), (tenure, seed)
@@ -398,9 +400,32 @@ def test_tabu_matches_evaluator_driven_reference(n, kind):
                 assert report.imbalance == imbalance(blades, disk, decoded).d
             else:
                 assert report.imbalance is None
-    assert events["fallback"] > 0
-    if n >= 3:  # smaller problems give the tabu list no room to aspirate
-        assert events["aspiration"] > 0
+    # at N = 40 the runs end inside the first descent from the random start,
+    # where the best move is never tabu: they check the deltas and penalty
+    # updates at dimension 1600, not the tabu rules
+    if dim < iterations:
+        assert events["fallback"] > 0
+        if n >= 3:  # smaller problems give the tabu list no room to aspirate
+            assert events["aspiration"] > 0
+
+
+def test_tabu_tenure_beyond_the_budget_allocates_nothing_for_it():
+    blades, disk = random_instance(np.random.default_rng(14), 6, with_disk=True)
+    problem = build_qubo(blades, disk, materialize=False)
+    iterations = 400
+    tabu_solve(problem, tenure=iterations, max_iterations=iterations, seed=3)  # warm caches
+    reports, peaks = {}, {}
+    for tenure in (iterations, 10**12):
+        tracemalloc.start()
+        try:
+            reports[tenure] = tabu_solve(problem, tenure=tenure, max_iterations=iterations, seed=3)
+            peaks[tenure] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # once tenure >= max_iterations no flip ever leaves the tabu list
+    assert np.array_equal(reports[10**12].configuration.bits,
+                          reports[iterations].configuration.bits)
+    assert peaks[10**12] <= peaks[iterations] + 4096, peaks
 
 
 @pytest.mark.parametrize("solver", ["qubo-sa", "tabu"])
