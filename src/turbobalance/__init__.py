@@ -10,7 +10,6 @@ from .model import (
     SlotGeometry,
     imbalance,
     imbalance_squared_cosform,
-    slot_angles,
 )
 from .qubo import (
     BinaryConfiguration,
@@ -71,7 +70,6 @@ __all__ = [
     "qubo_energy",
     "qubo_sa_solve",
     "run_benchmark",
-    "slot_angles",
     "split",
     "standard_corpus",
     "summarize",

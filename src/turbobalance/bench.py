@@ -11,7 +11,6 @@ numbers comparable across solvers that do or do not look at the disk.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import logging
 import time
@@ -21,8 +20,8 @@ import numpy as np
 
 from .datasets import InstanceFormatError, load_instance, load_manifest
 from .decompose import DecompositionConfig, decompose_solve
-from .model import imbalance
-from .solvers import SOLVERS
+from .model import derive_seed, imbalance
+from .solvers import SOLVERS, get_solver
 
 logger = logging.getLogger(__name__)
 
@@ -76,17 +75,9 @@ class SummaryRow:
     mean_wall_time_ms: float
 
 
-def _run_decompose(blades, disk, seed, max_subproblem=5, sub_solver="qubo-sa",
-                   merge_solver="qubo-sa", sub_solver_params=None,
-                   merge_solver_params=None):
-    config = DecompositionConfig(
-        max_subproblem=max_subproblem,
-        sub_solver=sub_solver,
-        merge_solver=merge_solver,
-        sub_solver_params=sub_solver_params or {},
-        merge_solver_params=merge_solver_params or {},
-    )
-    report, _trace = decompose_solve(blades, disk, config, seed)
+def _run_decompose(blades, disk, seed, **config):
+    """Registry entry of the pipeline; ``config`` holds DecompositionConfig fields."""
+    report, _trace = decompose_solve(blades, disk, DecompositionConfig(**config), seed)
     return report
 
 
@@ -96,8 +87,7 @@ BENCH_SOLVERS = {**SOLVERS, "decompose": _run_decompose}
 
 def run_seed(base_seed: int, instance: str, solver: str, repetition: int) -> int:
     """Per-run seed: base_seed XOR a stable 63-bit hash of the run triple."""
-    key = f"{instance}\x1f{solver}\x1f{repetition}".encode()
-    digest = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
+    digest = derive_seed(instance, solver, repetition, sep="\x1f")
     return (int(base_seed) ^ digest) & (2 ** 63 - 1)
 
 
@@ -143,8 +133,7 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
     """
     solvers = list(solvers)
     for solver in solvers:
-        if solver not in BENCH_SOLVERS:
-            raise ValueError(f"unknown solver {solver!r}; available: {sorted(BENCH_SOLVERS)}")
+        get_solver(solver, BENCH_SOLVERS)
     params = solver_params or {}
     tasks = [
         (name, blades, disk, solver, params.get(solver, {}),

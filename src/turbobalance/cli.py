@@ -10,7 +10,6 @@ error, 2 data error. The default corpus directory is ``./corpus`` unless the
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -21,6 +20,7 @@ from . import datasets
 from .datasets import InstanceFormatError, load_instance
 from .decompose import DecompositionConfig, decompose_solve
 from .qubo import build_qubo, decode, export_qubo
+from .solvers import get_solver, keyword_parameters
 
 ENV_CORPUS = "TURBOBALANCE_CORPUS"
 
@@ -68,9 +68,9 @@ def _build_parser() -> _Parser:
     solve.add_argument("--penalty-factor", type=float, default=None)
     solve.add_argument("--tenure", type=int, default=None)
     solve.add_argument("--max-iterations", type=int, default=None)
-    solve.add_argument("--max-subproblem", type=int, default=5)
-    solve.add_argument("--sub-solver", default="qubo-sa", choices=sorted(bench_mod.SOLVERS))
-    solve.add_argument("--merge-solver", default="qubo-sa", choices=sorted(bench_mod.SOLVERS))
+    solve.add_argument("--max-subproblem", type=int, default=None)
+    solve.add_argument("--sub-solver", default=None, choices=sorted(bench_mod.SOLVERS))
+    solve.add_argument("--merge-solver", default=None, choices=sorted(bench_mod.SOLVERS))
     solve.add_argument("--trace", type=Path, default=None,
                        help="write the decomposition trace JSON here")
     solve.add_argument("--output", type=Path, default=None, help="report file (default: stdout)")
@@ -79,6 +79,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--manifest", type=Path, default=None,
                      help="corpus manifest (default: <corpus dir>/manifest.json)")
     run.add_argument("--solvers", default="heuristic,imbalance-sa",
+                     type=lambda text: [name.strip() for name in text.split(",") if name.strip()],
                      help="comma-separated solver names")
     run.add_argument("--repetitions", type=int, default=10)
     run.add_argument("--base-seed", type=int, default=0)
@@ -91,9 +92,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--penalty-factor", type=float, default=None)
     run.add_argument("--tenure", type=int, default=None)
     run.add_argument("--max-iterations", type=int, default=None)
-    run.add_argument("--max-subproblem", type=int, default=5)
-    run.add_argument("--sub-solver", default="qubo-sa", choices=sorted(bench_mod.SOLVERS))
-    run.add_argument("--merge-solver", default="qubo-sa", choices=sorted(bench_mod.SOLVERS))
+    run.add_argument("--max-subproblem", type=int, default=None)
+    run.add_argument("--sub-solver", default=None, choices=sorted(bench_mod.SOLVERS))
+    run.add_argument("--merge-solver", default=None, choices=sorted(bench_mod.SOLVERS))
 
     summ = sub.add_parser("summarize", help="summarize a records CSV")
     summ.add_argument("records", type=Path)
@@ -108,46 +109,45 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _solver_params(args) -> dict:
-    sweeps = getattr(args, "sweeps", None)
-    sa_sweeps = getattr(args, "sa_sweeps", None)
-    qubo_sweeps = getattr(args, "qubo_sweeps", None)
-
-    def drop_none(d):
-        return {k: v for k, v in d.items() if v is not None}
-
-    return {
-        "imbalance-sa": drop_none({"sweeps": sa_sweeps if sa_sweeps is not None else sweeps}),
-        "qubo-sa": drop_none({
-            "sweeps": qubo_sweeps if qubo_sweeps is not None else sweeps,
-            "penalty_factor": getattr(args, "penalty_factor", None),
-        }),
-        "tabu": drop_none({
-            "tenure": getattr(args, "tenure", None),
-            "max_iterations": getattr(args, "max_iterations", None),
-            "penalty_factor": getattr(args, "penalty_factor", None),
-        }),
-        "decompose": {
-            "max_subproblem": getattr(args, "max_subproblem", 5),
-            "sub_solver": getattr(args, "sub_solver", "qubo-sa"),
-            "merge_solver": getattr(args, "merge_solver", "qubo-sa"),
-        },
-        "heuristic": {},
-        "brute-force": {},
-    }
+#: the ``bench`` flag that sets ``sweeps``, per solver
+_BENCH_SWEEPS = {"imbalance-sa": "sa_sweeps", "qubo-sa": "qubo_sweeps"}
 
 
-#: ``solve`` flags passed on as the registry parameter of the same name
-_SOLVER_FLAGS = ("sweeps", "penalty_factor", "tenure", "max_iterations")
+def _params(args, solver) -> tuple:
+    """``(params, used)``: the parameters of ``solver`` that flags in ``args``
+    set, and the ``args`` attributes of every flag ``solver`` uses.
+
+    A parameter's flag has its name, except that ``bench`` sets ``sweeps``
+    by ``--sa-sweeps`` and ``--qubo-sweeps``. Decompose's parameters are the
+    fields of :class:`DecompositionConfig`; it also uses the flags of its
+    sub-solver and merge solver, which set ``sub_solver_params`` and
+    ``merge_solver_params``.
+    """
+    entry = DecompositionConfig if solver == "decompose" else get_solver(solver, bench_mod.BENCH_SOLVERS)
+    params, used = {}, set()
+    for name in keyword_parameters(entry):
+        dest = _BENCH_SWEEPS.get(solver, name) if args.command == "bench" and name == "sweeps" else name
+        if hasattr(args, dest):
+            used.add(dest)
+            if getattr(args, dest) is not None:
+                params[name] = getattr(args, dest)
+    if solver == "decompose":
+        for role in ("sub_solver", "merge_solver"):
+            inner = params.get(role, getattr(DecompositionConfig, role))
+            params[f"{role}_params"], inner_used = _params(args, inner)
+            used |= inner_used
+    return params, used
 
 
-def _dropped_solve_flag(args) -> str | None:
-    """The first ``solve`` flag given that the chosen solver would ignore."""
-    accepted = inspect.signature(bench_mod.BENCH_SOLVERS[args.solver]).parameters
-    for dest in _SOLVER_FLAGS:
-        if getattr(args, dest) is not None and dest not in accepted:
+def _unused_flag(args, solvers) -> str | None:
+    """The first solver flag given in ``args`` that none of ``solvers`` uses."""
+    def flags(names):
+        return set().union(*(_params(args, name)[1] for name in names))
+
+    for dest in sorted(flags(bench_mod.BENCH_SOLVERS) - flags(solvers)):
+        if getattr(args, dest) is not None:
             return "--" + dest.replace("_", "-")
-    if args.trace is not None and args.solver != "decompose":
+    if getattr(args, "trace", None) is not None and "decompose" not in solvers:
         return "--trace"
     return None
 
@@ -201,14 +201,9 @@ def _report_dict(name: str, report) -> dict:
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     blades, disk = instance.blade_set(), instance.disk()
-    params = _solver_params(args)[args.solver]
+    params, _ = _params(args, args.solver)
     if args.solver == "decompose":
-        config = DecompositionConfig(
-            max_subproblem=args.max_subproblem,
-            sub_solver=args.sub_solver,
-            merge_solver=args.merge_solver,
-        )
-        report, trace = decompose_solve(blades, disk, config, args.seed)
+        report, trace = decompose_solve(blades, disk, DecompositionConfig(**params), args.seed)
         if args.trace is not None:
             trace.to_json(args.trace)
     else:
@@ -220,13 +215,12 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     manifest = args.manifest if args.manifest is not None else _corpus_dir() / datasets.MANIFEST_NAME
     instances = bench_mod.load_corpus(manifest)
-    solvers = [name.strip() for name in args.solvers.split(",") if name.strip()]
     records_iter = bench_mod.iter_benchmark(
         instances,
-        solvers,
+        args.solvers,
         repetitions=args.repetitions,
         base_seed=args.base_seed,
-        solver_params=_solver_params(args),
+        solver_params={solver: _params(args, solver)[0] for solver in args.solvers},
         jobs=args.jobs,
     )
     if args.format == "csv":
@@ -293,11 +287,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        flag = _dropped_solve_flag(args)
-        if flag is not None:
-            parser.error(f"{flag} is not used by solver {args.solver!r}")
     try:
+        if args.command in ("solve", "bench"):
+            solvers = [args.solver] if args.command == "solve" else args.solvers
+            flag = _unused_flag(args, solvers)
+            if flag is not None:
+                parser.error(f"{flag} is not used by solver {', '.join(map(repr, solvers))}")
         return _COMMANDS[args.command](args)
     except (InstanceFormatError, ValueError, OSError) as err:
         print(f"turbobalance: error: {err}", file=sys.stderr)

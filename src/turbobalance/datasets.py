@@ -13,7 +13,6 @@ Instances are stored one JSON document per file; a corpus directory carries a
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TWO_PI, BladeSet, DiskImbalance
+from .model import TWO_PI, BladeSet, DiskImbalance, derive_seed
 
 TARGET_MEAN = 1.0e4
 TARGET_STD = 100.0
@@ -94,11 +93,6 @@ class InstanceFile:
         path = Path(directory) / f"{self.name}.json"
         path.write_text(self.to_json(), encoding="utf-8")
         return path
-
-
-def _derive_seed(*parts) -> int:
-    key = ":".join(map(str, parts)).encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
 
 
 def generate(
@@ -259,10 +253,10 @@ def standard_corpus(directory, base_seed: int = 0, with_imbalance: bool = False)
     directory.mkdir(parents=True, exist_ok=True)
     instances = []
     for family, n in STANDARD_CORPUS:
-        name_seed = _derive_seed(base_seed, family, n)
+        name_seed = derive_seed(base_seed, family, n)
         if with_imbalance:
             m0 = DEFAULT_BARE_IMBALANCE
-            phi0 = float(np.random.default_rng(_derive_seed(base_seed, family, n, "phi0")).uniform(0.0, TWO_PI))
+            phi0 = float(np.random.default_rng(derive_seed(base_seed, family, n, "phi0")).uniform(0.0, TWO_PI))
         else:
             m0, phi0 = 0.0, 0.0
         instance = generate(family, n, seed=name_seed, m0=m0, phi0=phi0)

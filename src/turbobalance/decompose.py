@@ -15,7 +15,6 @@ the composed assignment, never summed from residuals.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -29,9 +28,10 @@ from .model import (
     BladeSet,
     DiskImbalance,
     SlotGeometry,
+    derive_seed,
     imbalance,
 )
-from .solvers import SOLVERS, SolveReport, get_solver, heuristic_solve
+from .solvers import SolveReport, get_solver, heuristic_solve, keyword_parameters
 
 #: Pseudo-mass given to a perfectly balanced group so the merge problem stays
 #: well-formed; placement of such a group is irrelevant to the objective.
@@ -46,7 +46,9 @@ class DecompositionConfig:
 
     ``sub_solver`` runs on every group of at most ``max_subproblem`` blades;
     ``merge_solver`` runs on the residual-balancing problem (one pseudo-blade
-    per group, so it can be larger than the cap).
+    per group, so it can be larger than the cap). ``sub_solver_params`` and
+    ``merge_solver_params`` may hold only parameters of that solver's
+    registry entry.
     """
 
     max_subproblem: int = 5
@@ -58,9 +60,13 @@ class DecompositionConfig:
     def __post_init__(self):
         if int(self.max_subproblem) < 2:
             raise ValueError(f"max_subproblem must be >= 2, got {self.max_subproblem}")
-        for name in (self.sub_solver, self.merge_solver):
-            if name not in SOLVERS:
-                raise ValueError(f"unknown solver {name!r}; available: {sorted(SOLVERS)}")
+        for role in ("sub_solver", "merge_solver"):
+            name = getattr(self, role)
+            accepted = keyword_parameters(get_solver(name))
+            for param in getattr(self, f"{role}_params"):
+                if param not in accepted:
+                    raise ValueError(f"{role}_params: solver {name!r} takes no parameter "
+                                     f"{param!r}; it takes {accepted}")
 
 
 @dataclass
@@ -157,11 +163,6 @@ def split(order):
     return items[0::2], items[1::2]
 
 
-def _derive_seed(seed, *parts) -> int:
-    key = ":".join([str(seed), *map(str, parts)]).encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
-
-
 def _solve_valid(solver_name, params, blades, disk, seed, key, first_seed=None):
     """Run a solver, retrying invalid outputs with fresh seeds, then falling
     back to the heuristic. Returns (report, solver_used, fallback, attempts)."""
@@ -171,7 +172,7 @@ def _solve_valid(solver_name, params, blades, disk, seed, key, first_seed=None):
         if attempt == 0 and first_seed is not None:
             attempt_seed = first_seed
         else:
-            attempt_seed = _derive_seed(seed, *key, attempt)
+            attempt_seed = derive_seed(seed, *key, attempt)
         report = fn(blades, disk, attempt_seed, **params)
         attempts += 1
         if report.valid:

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -171,9 +172,11 @@ class ImbalanceResult:
         object.__setattr__(self, "d", d)
 
 
-def slot_angles(geometry: SlotGeometry) -> np.ndarray:
-    """Angles of all slots, monotonically increasing, starting at 0."""
-    return geometry.angles()
+def derive_seed(*parts, sep: str = ":") -> int:
+    """Stable 63-bit seed: the blake2b-64 hash of ``parts`` joined by ``sep``,
+    shifted right by one. Every seed the package derives comes from here."""
+    key = sep.join(map(str, parts)).encode()
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
 
 
 def _check_lengths(blades: BladeSet, assignment: Assignment):
@@ -207,7 +210,7 @@ def imbalance_squared_cosform(
     """
     _check_lengths(blades, assignment)
     m = blades.masses
-    phi = slot_angles(SlotGeometry(blades.n))[assignment.slots0]
+    phi = SlotGeometry(blades.n).angles()[assignment.slots0]
     cross = 2.0 * disk.m0 * float(m @ np.cos(disk.phi0 - phi))
     pair = float(m @ np.cos(phi[:, None] - phi[None, :]) @ m)
     return disk.m0 ** 2 + cross + pair

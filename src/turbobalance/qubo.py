@@ -32,7 +32,6 @@ from .model import (
     DiskImbalance,
     SlotGeometry,
     _frozen_array,
-    slot_angles,
 )
 
 DEFAULT_PENALTY_FACTOR = 10.0
@@ -147,7 +146,7 @@ def objective_matrix_termwise(blades: BladeSet, disk: DiskImbalance) -> np.ndarr
     """
     n = blades.n
     m = blades.masses
-    phi = slot_angles(SlotGeometry(n))
+    phi = SlotGeometry(n).angles()
     cos_pair = np.cos(phi[:, None] - phi[None, :])
     dim = n * n
     q = np.zeros((dim, dim))

@@ -13,6 +13,7 @@ identical reports apart from wall time.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import time
@@ -619,8 +620,17 @@ SOLVERS = {
 }
 
 
-def get_solver(name: str):
+def get_solver(name: str, registry: dict = SOLVERS):
+    """``name``'s entry in ``registry``, looked up at call time;
+    ``ValueError`` listing the choices if there is none."""
     try:
-        return SOLVERS[name]
+        return registry[name]
     except KeyError:
-        raise ValueError(f"unknown solver {name!r}; available: {sorted(SOLVERS)}") from None
+        raise ValueError(f"unknown solver {name!r}; available: {sorted(registry)}") from None
+
+
+def keyword_parameters(entry) -> list:
+    """Names of the parameters of ``entry`` that have a default: a registry
+    entry's own solver parameters, after ``blades``, ``disk`` and ``seed``."""
+    return [name for name, p in inspect.signature(entry).parameters.items()
+            if p.default is not p.empty]

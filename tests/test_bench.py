@@ -77,6 +77,20 @@ def test_run_seed_is_stable_and_distinguishes_runs():
     assert len(seeds) == 20
 
 
+@pytest.mark.parametrize("base_seed, golden", [
+    (0, [2518226031186472168, 6342967496513789617, 3796549466928020060]),
+    (1, [2518226031186472169, 6342967496513789616, 3796549466928020061]),
+    (12345, [2518226031186468049, 6342967496513793672, 3796549466928007781]),
+    (2 ** 62 + 7, [7129912049613860079, 1731281478086401718, 8408235485355407963]),
+    (2 ** 63, [2518226031186472168, 6342967496513789617, 3796549466928020060]),
+    (2 ** 64 - 1, [6705146005668303639, 2880404540340986190, 5426822569926755747]),
+])
+def test_run_seed_golden_values(base_seed, golden):
+    runs = [("NORM20_0000", "imbalance-sa", 0), ("BETA40_0000", "decompose", 9),
+            ("STG1SYN84_0000", "tabu", 3)]
+    assert [run_seed(base_seed, *run) for run in runs] == golden
+
+
 def test_meets_threshold_consistency():
     corpus = _tiny_corpus()
     records = run_benchmark(corpus, ["imbalance-sa", "qubo-sa"], repetitions=3,

@@ -145,16 +145,73 @@ def test_solve_reports_violation_counts_of_an_invalid_output(tmp_path, capsys):
     ("brute-force", "--sweeps"),
     ("tabu", "--trace"),
     ("imbalance-sa", "--trace"),
+    ("tabu", "--sub-solver"),
+    ("qubo-sa", "--merge-solver"),
+    ("imbalance-sa", "--max-subproblem"),
 ])
 def test_solve_rejects_a_flag_the_solver_drops(tmp_path, capsys, solver, flag):
     generate("NORM", 4, seed=2).save(tmp_path)
     trace = tmp_path / "trace.json"
-    value = str(trace) if flag == "--trace" else "5"
-    code = run_cli(["solve", str(tmp_path / "NORM4_0000.json"), "--solver", solver, flag, value])
+    value = {"--trace": str(trace), "--sub-solver": "brute-force",
+             "--merge-solver": "brute-force"}.get(flag, "5")
+    # decompose uses the flags of its sub-solver and merge solver; these use none
+    leaves = ["--sub-solver", "brute-force", "--merge-solver", "heuristic"] if solver == "decompose" else []
+    code = run_cli(["solve", str(tmp_path / "NORM4_0000.json"), "--solver", solver, flag, value,
+                    *leaves])
     assert code == 1
     err = capsys.readouterr().err
     assert flag in err and solver in err
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("solvers, flags", [
+    ("heuristic", ["--tenure", "5"]),
+    ("heuristic,imbalance-sa", ["--qubo-sweeps", "5"]),
+    ("qubo-sa", ["--sa-sweeps", "5"]),
+    ("tabu", ["--max-subproblem", "3"]),
+    ("imbalance-sa", ["--sub-solver", "brute-force"]),
+    ("decompose", ["--sa-sweeps", "5"]),
+    ("decompose", ["--tenure", "5"]),
+    ("decompose", ["--sub-solver", "imbalance-sa", "--merge-solver", "imbalance-sa",
+                   "--penalty-factor", "5"]),
+])
+def test_bench_rejects_a_flag_no_selected_solver_uses(tmp_path, capsys, solvers, flags):
+    generate("NORM", 5, seed=9).save(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"instances": [{"name": "NORM5_0000", "file": "NORM5_0000.json"}]}))
+    out = tmp_path / "runs.csv"
+    code = run_cli(["bench", "--manifest", str(manifest), "--solvers", solvers,
+                    "--repetitions", "1", "--out", str(out), *flags])
+    assert code == 1
+    assert flags[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sweeps", "5", "--penalty-factor", "4"],
+    ["--sub-solver", "tabu", "--tenure", "3", "--max-iterations", "50"],
+    ["--merge-solver", "imbalance-sa", "--max-subproblem", "3"],
+])
+def test_solve_decompose_takes_its_leaf_solvers_flags(tmp_path, capsys, flags):
+    generate("NORM", 6, seed=2).save(tmp_path)
+    code = run_cli(["solve", str(tmp_path / "NORM6_0000.json"), "--solver", "decompose", *flags])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def test_bench_qubo_sweeps_reach_decompose_leaves(tmp_path):
+    generate("NORM", 20, seed=0).save(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"instances": [{"name": "NORM20_0000", "file": "NORM20_0000.json"}]}))
+    records = {}
+    for sweeps in ("1", "400"):
+        out = tmp_path / f"runs{sweeps}.json"
+        assert run_cli(["bench", "--manifest", str(manifest), "--solvers", "decompose",
+                        "--repetitions", "1", "--qubo-sweeps", sweeps,
+                        "--format", "json", "--out", str(out)]) == 0
+        (records[sweeps],) = json.loads(out.read_text())
+    assert records["1"]["seed"] == records["400"]["seed"]
+    assert records["1"]["imbalance"] != records["400"]["imbalance"]
 
 
 def test_usage_error_exits_one():

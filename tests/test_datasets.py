@@ -161,6 +161,34 @@ def test_corpus_generation_is_deterministic(tmp_path):
         assert x.to_json() == y.to_json()
 
 
+#: (phi0 seed, instance seed) per standard-corpus instance at base seed 0, in
+#: corpus order; any change to the seed derivation changes every corpus file
+GOLDEN_CORPUS_SEEDS = [
+    (8774327988940708675, 6272415621780714184),
+    (4103847469317153955, 8351130413429331394),
+    (7575576954524583723, 487629687531264123),
+    (5751254373992591941, 3513398984716273287),
+    (286647190939217904, 6085760534592756683),
+    (589127045303472960, 671130233574612000),
+    (6855137797526434729, 5357074487484396631),
+    (4924683546809401323, 975833234978101853),
+    (7323026629585145811, 1973038508480180248),
+]
+
+
+def test_standard_corpus_derives_the_golden_seeds(tmp_path, monkeypatch):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    standard_corpus(tmp_path, base_seed=0, with_imbalance=True)
+    assert list(zip(seeds[0::2], seeds[1::2])) == GOLDEN_CORPUS_SEEDS
+
+
 def test_manifest_rejects_garbage(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text("[]")

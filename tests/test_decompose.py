@@ -15,6 +15,7 @@ from turbobalance import (
     imbalance_sa_solve,
     split,
 )
+from turbobalance.solvers import SOLVERS, SolveReport
 
 BRUTE = DecompositionConfig(max_subproblem=5, sub_solver="brute-force", merge_solver="brute-force")
 
@@ -124,6 +125,46 @@ def test_starved_sub_solver_falls_back_to_heuristic():
         assert leaf.attempts == 5  # 1 + 3 retries + fallback
 
 
+#: every attempt seed of a run whose solves all fail: four attempts per leaf
+#: (leaf 0 first), then four merge attempts; or, without a split, the caller's
+#: seed and three root retries
+GOLDEN_ATTEMPT_SEEDS = {
+    (0, 12): [6152699530374933837, 2150744444299443636, 1914545398678471367,
+              6616559755262082217, 2142667734475869468, 2429240004951845655,
+              5095836622474261541, 2845475729424414682, 8561089953386867515,
+              7839167822889043103, 3324284938062404238, 7500870880673754165,
+              1713927161353637811, 7143109275600073773, 204832000831041286,
+              2133577221687837383, 3982360503244297944, 4490150915508781919,
+              6659852627517731637, 3543269314356536387],
+    (0, 4): [0, 2008628621716874888, 6173693264999021707, 1883850427335378611],
+    (2 ** 40 + 3, 12): [4868564364727634358, 7299254542119308110, 2486242916881599806,
+                        1815621351847684709, 6679080529946573276, 3916975809145998256,
+                        2433593269851145671, 8448121131910773710, 159374964528738805,
+                        5003231715562401631, 7152701537721152529, 7492200165832616077,
+                        8364826585364782177, 2523125337857427834, 3775386499282410462,
+                        1673859879520452197, 7864162739861428599, 3849591982818599210,
+                        5695299291446611106, 7009800259868895414],
+    (2 ** 40 + 3, 4): [2 ** 40 + 3, 5647607912406561279, 2973623527531307626,
+                       3111377838793845055],
+}
+
+
+@pytest.mark.parametrize("seed, n", sorted(GOLDEN_ATTEMPT_SEEDS))
+def test_leaf_and_merge_attempts_derive_the_golden_seeds(monkeypatch, seed, n):
+    seeds = []
+
+    def failing(blades, disk, seed):
+        seeds.append(seed)
+        return SolveReport("failing", False, None, None, seed, 0.0, 0)
+
+    monkeypatch.setitem(SOLVERS, "qubo-sa", failing)
+    monkeypatch.setitem(SOLVERS, "tabu", failing)
+    config = DecompositionConfig(max_subproblem=5, sub_solver="qubo-sa", merge_solver="tabu")
+    report, _ = decompose_solve(BladeSet(np.linspace(1.0, 2.0, n)), DiskImbalance(), config, seed)
+    assert report.valid
+    assert seeds == GOLDEN_ATTEMPT_SEEDS[seed, n]
+
+
 def test_trace_json_document():
     blades, disk = random_instance(np.random.default_rng(53), 12, with_disk=True)
     report, trace = decompose_solve(blades, disk, BRUTE, seed=1)
@@ -176,6 +217,16 @@ def test_config_validation():
         DecompositionConfig(sub_solver="nope")
     with pytest.raises(ValueError):
         DecompositionConfig(merge_solver="nope")
+
+
+@pytest.mark.parametrize("config, name", [
+    ({"sub_solver_params": {"tenure": 3}}, "tenure"),
+    ({"merge_solver": "brute-force", "merge_solver_params": {"sweeps": 9}}, "sweeps"),
+    ({"sub_solver": "imbalance-sa", "sub_solver_params": {"seed": 1}}, "seed"),
+])
+def test_config_rejects_a_parameter_its_solver_does_not_take(config, name):
+    with pytest.raises(ValueError, match=f"'{name}'"):
+        DecompositionConfig(**config)
 
 
 def test_decompose_rejects_single_blade():

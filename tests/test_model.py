@@ -12,20 +12,19 @@ from turbobalance import (
     SlotGeometry,
     imbalance,
     imbalance_squared_cosform,
-    slot_angles,
 )
 
 
 def test_slot_angles_quarters():
-    assert slot_angles(SlotGeometry(4)).tolist() == [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+    assert SlotGeometry(4).angles().tolist() == [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
 
 def test_slot_angles_single_slot():
-    assert slot_angles(SlotGeometry(1)).tolist() == [0.0]
+    assert SlotGeometry(1).angles().tolist() == [0.0]
 
 
 def test_slot_angles_thirds():
-    phi = slot_angles(SlotGeometry(3))
+    phi = SlotGeometry(3).angles()
     assert phi[0] == 0.0
     assert phi[1] == pytest.approx(2 * math.pi / 3, abs=1e-15)
     assert phi[2] == pytest.approx(4 * math.pi / 3, abs=1e-15)
@@ -34,7 +33,7 @@ def test_slot_angles_thirds():
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 86])
 def test_slot_geometry_invariants(n):
     geometry = SlotGeometry(n)
-    phi = slot_angles(geometry)
+    phi = geometry.angles()
     assert np.all(np.diff(phi) > 0)
     steps = np.diff(phi)
     assert np.allclose(steps, geometry.step, rtol=0, atol=1e-12)
