@@ -11,6 +11,7 @@ numbers comparable across solvers that do or do not look at the disk.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import time
@@ -28,31 +29,12 @@ logger = logging.getLogger(__name__)
 #: industrial acceptance threshold on the total imbalance, in dataset units
 IMBALANCE_THRESHOLD = 3.0
 
-RECORD_FIELDS = (
-    "instance",
-    "solver",
-    "repetition",
-    "seed",
-    "valid",
-    "imbalance",
-    "wall_time_ms",
-    "meets_threshold",
-)
-
-SUMMARY_FIELDS = (
-    "instance",
-    "solver",
-    "valid_count",
-    "mean_imbalance",
-    "std_imbalance",
-    "min_imbalance",
-    "max_imbalance",
-    "mean_wall_time_ms",
-)
-
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One scheduled run. Its fields, in order, are the CSV columns and the
+    JSON keys of a records file."""
+
     instance: str
     solver: str
     repetition: int
@@ -65,6 +47,8 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """Statistics of one (instance, solver) cell; fields as for RunRecord."""
+
     instance: str
     solver: str
     valid_count: int
@@ -113,14 +97,12 @@ def _execute_run(task):
         report = fn(blades, disk, seed, **params)
     except Exception as err:  # a crashed run still yields its record
         logger.error("%s/%s rep %d failed: %s", name, solver, repetition, err)
-        return RunRecord(name, solver, repetition, seed, False, None,
-                         (time.perf_counter() - t0) * 1e3, False)
+        report = None
     wall_ms = (time.perf_counter() - t0) * 1e3
-    if report.valid:
-        d = imbalance(blades, disk, report.assignment).d
-        return RunRecord(name, solver, repetition, seed, True, d, wall_ms,
-                         d <= IMBALANCE_THRESHOLD)
-    return RunRecord(name, solver, repetition, seed, False, None, wall_ms, False)
+    valid = report is not None and report.valid
+    d = imbalance(blades, disk, report.assignment).d if valid else None
+    return RunRecord(name, solver, repetition, seed, valid, d, wall_ms,
+                     valid and d <= IMBALANCE_THRESHOLD)
 
 
 def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0,
@@ -216,12 +198,16 @@ def _format_field(value) -> str:
     return str(value)
 
 
-def write_records_csv(records, file) -> None:
-    """Stream records to ``file`` as CSV ('.' decimals, empty field = absent)."""
+def write_csv(rows, row_type, file) -> None:
+    """Stream ``rows`` (instances of the dataclass ``row_type``) to ``file``
+    as CSV: a header of ``row_type``'s field names in declaration order, then
+    one line per row as it arrives ('.' decimals, lowercase booleans, empty
+    field = absent)."""
+    names = [f.name for f in dataclasses.fields(row_type)]
     writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(RECORD_FIELDS)
-    for record in records:
-        writer.writerow([_format_field(getattr(record, name)) for name in RECORD_FIELDS])
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow([_format_field(getattr(row, name)) for name in names])
 
 
 def read_records_csv(path) -> list:
@@ -242,18 +228,7 @@ def read_records_csv(path) -> list:
     return records
 
 
-def write_summary_csv(rows, file) -> None:
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(SUMMARY_FIELDS)
-    for row in rows:
-        writer.writerow([_format_field(getattr(row, name)) for name in SUMMARY_FIELDS])
-
-
-def records_to_json(records) -> str:
-    payload = [{name: getattr(r, name) for name in RECORD_FIELDS} for r in records]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def summary_to_json(rows) -> str:
-    payload = [{name: getattr(r, name) for name in SUMMARY_FIELDS} for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
+def to_json(rows) -> str:
+    """``rows`` (dataclass instances) as a JSON array of objects keyed by
+    field name, in field order."""
+    return json.dumps([dataclasses.asdict(row) for row in rows], indent=2) + "\n"

@@ -10,6 +10,8 @@ error, 2 data error. The default corpus directory is ``./corpus`` unless the
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -19,7 +21,7 @@ from . import bench as bench_mod
 from . import datasets
 from .datasets import InstanceFormatError, load_instance
 from .decompose import DecompositionConfig, decompose_solve
-from .qubo import build_qubo, decode, export_qubo
+from .qubo import DEFAULT_PENALTY_FACTOR, build_qubo, decode, export_qubo
 from .solvers import get_solver, keyword_parameters
 
 ENV_CORPUS = "TURBOBALANCE_CORPUS"
@@ -103,7 +105,7 @@ def _build_parser() -> _Parser:
 
     export = sub.add_parser("export-qubo", help="write an instance's QUBO in sparse text form")
     export.add_argument("instance", type=Path)
-    export.add_argument("--penalty-factor", type=float, default=10.0)
+    export.add_argument("--penalty-factor", type=float, default=DEFAULT_PENALTY_FACTOR)
     export.add_argument("--out", type=Path, default=None, help="target file (default: stdout)")
 
     return parser
@@ -152,11 +154,23 @@ def _unused_flag(args, solvers) -> str | None:
     return None
 
 
-def _write_text(path: Path | None, text: str):
+def _output(path: Path | None):
+    """``path`` opened for writing text, or stdout, left open, when it is None."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_rows(rows, row_type, fmt: str, path: Path | None) -> list:
+    """Write ``rows`` (``row_type`` dataclasses) to ``path`` or stdout, as CSV,
+    each row as it arrives, or as JSON (``fmt``); returns them as a list."""
+    rows, kept = itertools.tee(rows)
+    with _output(path) as fh:
+        if fmt == "csv":
+            bench_mod.write_csv(rows, row_type, fh)
+        else:
+            fh.write(bench_mod.to_json(rows))
+    return list(kept)
 
 
 def _cmd_generate(args) -> int:
@@ -208,14 +222,15 @@ def _cmd_solve(args) -> int:
             trace.to_json(args.trace)
     else:
         report = bench_mod.BENCH_SOLVERS[args.solver](blades, disk, args.seed, **params)
-    _write_text(args.output, json.dumps(_report_dict(instance.name, report), indent=2) + "\n")
+    with _output(args.output) as fh:
+        fh.write(json.dumps(_report_dict(instance.name, report), indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
     manifest = args.manifest if args.manifest is not None else _corpus_dir() / datasets.MANIFEST_NAME
     instances = bench_mod.load_corpus(manifest)
-    records_iter = bench_mod.iter_benchmark(
+    records = bench_mod.iter_benchmark(
         instances,
         args.solvers,
         repetitions=args.repetitions,
@@ -223,55 +238,23 @@ def _cmd_bench(args) -> int:
         solver_params={solver: _params(args, solver)[0] for solver in args.solvers},
         jobs=args.jobs,
     )
-    if args.format == "csv":
-        # stream records as they complete
-        if args.out is None:
-            records = []
-            bench_mod.write_records_csv(_tee(records_iter, records), sys.stdout)
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                records = []
-                bench_mod.write_records_csv(_tee(records_iter, records), fh)
-    else:
-        records = list(records_iter)
-        _write_text(args.out, bench_mod.records_to_json(records))
+    records = _write_rows(records, bench_mod.RunRecord, args.format, args.out)
     if args.summary is not None:
-        rows = bench_mod.summarize(records)
-        if args.format == "csv":
-            with open(args.summary, "w", encoding="utf-8", newline="") as fh:
-                bench_mod.write_summary_csv(rows, fh)
-        else:
-            args.summary.write_text(bench_mod.summary_to_json(rows), encoding="utf-8")
+        _write_rows(bench_mod.summarize(records), bench_mod.SummaryRow, args.format, args.summary)
     return EXIT_OK
 
 
-def _tee(iterator, sink):
-    for item in iterator:
-        sink.append(item)
-        yield item
-
-
 def _cmd_summarize(args) -> int:
-    records = bench_mod.read_records_csv(args.records)
-    rows = bench_mod.summarize(records)
-    if args.format == "csv":
-        if args.out is None:
-            bench_mod.write_summary_csv(rows, sys.stdout)
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                bench_mod.write_summary_csv(rows, fh)
-    else:
-        _write_text(args.out, bench_mod.summary_to_json(rows))
+    rows = bench_mod.summarize(bench_mod.read_records_csv(args.records))
+    _write_rows(rows, bench_mod.SummaryRow, args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_export_qubo(args) -> int:
     instance = load_instance(args.instance)
     problem = build_qubo(instance.blade_set(), instance.disk(), penalty_factor=args.penalty_factor)
-    if args.out is None:
-        export_qubo(problem, sys.stdout)
-    else:
-        export_qubo(problem, args.out)
+    with _output(args.out) as fh:
+        export_qubo(problem, fh)
     return EXIT_OK
 
 

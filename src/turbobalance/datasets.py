@@ -166,7 +166,12 @@ def _require(doc, key, path):
 
 
 def load_instance(path) -> InstanceFile:
-    """Parse and validate one instance file."""
+    """Parse and validate one instance file.
+
+    The masses and the bare imbalance are validated by building the
+    :class:`BladeSet` and :class:`DiskImbalance` they describe; a defect in
+    either raises :class:`InstanceFormatError` naming ``path`` and the field.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -181,15 +186,17 @@ def load_instance(path) -> InstanceFile:
     masses_raw = _require(doc, "masses", path)
     if not isinstance(masses_raw, list) or not masses_raw:
         raise InstanceFormatError(f"{path}: field 'masses' must be a non-empty list")
-    masses = np.asarray(masses_raw, dtype=float)
-    if not np.all(np.isfinite(masses)) or np.any(masses <= 0.0):
-        raise InstanceFormatError(f"{path}: field 'masses' must contain positive finite numbers")
+    try:
+        masses = BladeSet(masses_raw).masses
+    except (TypeError, ValueError) as err:
+        raise InstanceFormatError(f"{path}: field 'masses' is malformed: {err}") from err
 
     if "bare_imbalance" in doc:
         bare = doc["bare_imbalance"]
         try:
             m0 = float(_require(bare, "m0", path))
             phi0 = float(_require(bare, "phi0", path))
+            DiskImbalance(m0, phi0)
         except (TypeError, ValueError) as err:
             raise InstanceFormatError(f"{path}: field 'bare_imbalance' is malformed: {err}") from err
     else:

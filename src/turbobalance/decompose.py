@@ -306,14 +306,8 @@ def decompose_solve(
             fallback=fb,
             attempts=attempts,
         )
-        final = SolveReport(
-            solver_name="decompose",
-            valid=True,
-            assignment=report.assignment,
-            imbalance=result.d,
-            seed=seed,
-            wall_time=time.perf_counter() - t_start,
-            iterations=report.iterations,
+        final = SolveReport.of_assignment(
+            "decompose", blades, disk, report.assignment, seed, t_start, report.iterations
         )
         return final, DecompositionTrace(root=root)
 
@@ -353,16 +347,8 @@ def decompose_solve(
     trace.merge_fallback = merge_fb
 
     sigma0 = _realize(masses, disk, leaves, merge_report, n)
-    assignment = Assignment(sigma0 + 1)
-    final_d = imbalance(blades, disk, assignment).d
     iterations = sum(leaf.report.iterations for leaf in leaves) + merge_report.iterations
-    final = SolveReport(
-        solver_name="decompose",
-        valid=True,
-        assignment=assignment,
-        imbalance=final_d,
-        seed=seed,
-        wall_time=time.perf_counter() - t_start,
-        iterations=iterations,
+    final = SolveReport.of_assignment(
+        "decompose", blades, disk, Assignment(sigma0 + 1), seed, t_start, iterations
     )
     return final, trace

@@ -31,6 +31,8 @@ from .qubo import (
 )
 
 BRUTE_FORCE_LIMIT = 10
+#: permutations brute force evaluates per numpy batch
+BRUTE_FORCE_BATCH = 20000
 #: moves per block of random draws in imbalance-sa; part of its seed contract.
 #: A block's draws take about 0.2 MiB as Python lists, and the fixed cost of
 #: the three generator calls per block is about 1.5% of the block's moves.
@@ -57,6 +59,24 @@ class SolveReport:
     iterations: int
     configuration: BinaryConfiguration | None = None
     best_history: list | None = None
+
+    @classmethod
+    def of_assignment(cls, solver_name, blades, disk, assignment, seed, t_start, iterations,
+                      **extra) -> "SolveReport":
+        """Valid report of ``assignment``: d recomputed exactly on ``blades``
+        and ``disk``, wall time measured from ``t_start`` (a
+        ``time.perf_counter()`` reading) to now. ``extra`` sets the optional
+        fields (``configuration``, ``best_history``)."""
+        return cls(
+            solver_name=solver_name,
+            valid=True,
+            assignment=assignment,
+            imbalance=imbalance(blades, disk, assignment).d,
+            seed=seed,
+            wall_time=time.perf_counter() - t_start,
+            iterations=iterations,
+            **extra,
+        )
 
 
 @dataclass(frozen=True)
@@ -91,7 +111,7 @@ class AnnealSchedule:
         return self.t_initial * self.alpha ** np.arange(self.sweeps)
 
 
-def heuristic_solve(blades: BladeSet, geometry: SlotGeometry | None = None) -> SolveReport:
+def heuristic_solve(blades: BladeSet) -> SolveReport:
     """Industrial placement rule: fill opposite slot pairs, heaviest pair
     first, alternating with the lightest pair.
 
@@ -105,11 +125,6 @@ def heuristic_solve(blades: BladeSet, geometry: SlotGeometry | None = None) -> S
     """
     t0 = time.perf_counter()
     n = blades.n
-    if geometry is None:
-        geometry = SlotGeometry(n)
-    if geometry.n_slots != n:
-        raise ValueError(f"geometry has {geometry.n_slots} slots for {n} blades")
-
     order = np.argsort(-blades.masses, kind="stable").tolist()
     pairs = []
     lo, hi = 0, n - 1
@@ -141,16 +156,8 @@ def heuristic_solve(blades: BladeSet, geometry: SlotGeometry | None = None) -> S
         sigma0[order[lo]] = free_from
         used[free_from] = True
 
-    assignment = Assignment(np.asarray(sigma0) + 1)
-    d = imbalance(blades, DiskImbalance(), assignment).d
-    return SolveReport(
-        solver_name="heuristic",
-        valid=True,
-        assignment=assignment,
-        imbalance=d,
-        seed=0,
-        wall_time=time.perf_counter() - t0,
-        iterations=n,
+    return SolveReport.of_assignment(
+        "heuristic", blades, DiskImbalance(), Assignment(np.asarray(sigma0) + 1), 0, t0, n
     )
 
 
@@ -227,15 +234,8 @@ def imbalance_sa_solve(
     t_start = time.perf_counter()
     n = blades.n
     if n < 2:
-        assignment = Assignment.identity(n)
-        return SolveReport(
-            solver_name="imbalance-sa",
-            valid=True,
-            assignment=assignment,
-            imbalance=imbalance(blades, disk, assignment).d,
-            seed=seed,
-            wall_time=time.perf_counter() - t_start,
-            iterations=0,
+        return SolveReport.of_assignment(
+            "imbalance-sa", blades, disk, Assignment.identity(n), seed, t_start, 0,
             best_history=[] if record_best else None,
         )
     if start is None:
@@ -280,16 +280,9 @@ def imbalance_sa_solve(
                     if record_best:
                         history.append(d2)
 
-    assignment = Assignment(np.asarray(best_sigma) + 1)
-    return SolveReport(
-        solver_name="imbalance-sa",
-        valid=True,
-        assignment=assignment,
-        imbalance=imbalance(blades, disk, assignment).d,
-        seed=seed,
-        wall_time=time.perf_counter() - t_start,
-        iterations=schedule.sweeps * n,
-        best_history=history,
+    return SolveReport.of_assignment(
+        "imbalance-sa", blades, disk, Assignment(np.asarray(best_sigma) + 1), seed, t_start,
+        schedule.sweeps * n, best_history=history,
     )
 
 
@@ -299,21 +292,18 @@ def default_qubo_schedule(problem: QuboProblem, sweeps: int = 500) -> AnnealSche
     return AnnealSchedule.geometric(t_initial, 1e-8 * t_initial, sweeps)
 
 
-def _report_from_bits(problem, bits, solver_name, seed, wall_time, iterations, history=None):
+def _report_from_bits(problem, bits, undo, solver_name, seed, t_start, iterations, history=None):
+    """Report of the search's incumbent: ``bits`` (a list or array, changed
+    in place) with the flips in ``undo`` reverted, latest first, then
+    decoded."""
+    for a in reversed(undo):
+        bits[a] ^= 1
     config = BinaryConfiguration(np.asarray(bits, dtype=np.int8))
     decoded = decode(config)
     if isinstance(decoded, Assignment):
-        d = imbalance(problem.blades, problem.disk, decoded).d
-        return SolveReport(
-            solver_name=solver_name,
-            valid=True,
-            assignment=decoded,
-            imbalance=d,
-            seed=seed,
-            wall_time=wall_time,
-            iterations=iterations,
-            configuration=config,
-            best_history=history,
+        return SolveReport.of_assignment(
+            solver_name, problem.blades, problem.disk, decoded, seed, t_start, iterations,
+            configuration=config, best_history=history,
         )
     return SolveReport(
         solver_name=solver_name,
@@ -321,7 +311,7 @@ def _report_from_bits(problem, bits, solver_name, seed, wall_time, iterations, h
         assignment=None,
         imbalance=None,
         seed=seed,
-        wall_time=wall_time,
+        wall_time=time.perf_counter() - t_start,
         iterations=iterations,
         configuration=config,
         best_history=history,
@@ -371,17 +361,9 @@ def qubo_sa_solve(
                     if record_best:
                         history.append(energy + offset)
 
-    bits = ev.bits()
-    for a in reversed(flip_log[best_pos:]):  # rewind to the incumbent
-        bits[a] ^= 1
     return _report_from_bits(
-        problem,
-        bits,
-        "qubo-sa",
-        seed,
-        time.perf_counter() - t_start,
-        schedule.sweeps * dim,
-        history,
+        problem, ev.bits(), flip_log[best_pos:], "qubo-sa", seed, t_start,
+        schedule.sweeps * dim, history,
     )
 
 
@@ -528,14 +510,12 @@ def tabu_solve(
             best_energy = energy
             best_pos = len(flip_log)
 
-    for a in reversed(flip_log[best_pos:]):
-        bits_l[a] ^= 1
     return _report_from_bits(
-        problem, bits_l, "tabu", seed, time.perf_counter() - t_start, max_iterations
+        problem, bits_l, flip_log[best_pos:], "tabu", seed, t_start, max_iterations
     )
 
 
-def brute_force_solve(blades: BladeSet, disk: DiskImbalance, batch_size: int = 20000) -> SolveReport:
+def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
     """Exact minimum over all N! assignments; ties go to the smallest sigma.
 
     Guarded at N <= 10 (10! is ~3.6M evaluations); meant as the oracle for
@@ -554,7 +534,7 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance, batch_size: int = 2
     count = 0
     perms = itertools.permutations(range(n))
     while True:
-        chunk = list(itertools.islice(perms, batch_size))
+        chunk = list(itertools.islice(perms, BRUTE_FORCE_BATCH))
         if not chunk:
             break
         p = np.array(chunk)
@@ -566,15 +546,8 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance, batch_size: int = 2
             best_sigma0 = chunk[i]
         count += len(chunk)
 
-    assignment = Assignment(np.asarray(best_sigma0) + 1)
-    return SolveReport(
-        solver_name="brute-force",
-        valid=True,
-        assignment=assignment,
-        imbalance=imbalance(blades, disk, assignment).d,
-        seed=0,
-        wall_time=time.perf_counter() - t_start,
-        iterations=count,
+    return SolveReport.of_assignment(
+        "brute-force", blades, disk, Assignment(np.asarray(best_sigma0) + 1), 0, t_start, count
     )
 
 
@@ -582,12 +555,10 @@ def _run_heuristic(blades, disk, seed):
     return heuristic_solve(blades)
 
 
-def _run_imbalance_sa(blades, disk, seed, sweeps=None, record_best=False):
+def _run_imbalance_sa(blades, disk, seed, sweeps=None):
     start = heuristic_solve(blades).assignment
     schedule = None if sweeps is None else default_imbalance_schedule(blades, disk, sweeps, start)
-    return imbalance_sa_solve(
-        blades, disk, schedule=schedule, seed=seed, record_best=record_best, start=start
-    )
+    return imbalance_sa_solve(blades, disk, schedule=schedule, seed=seed, start=start)
 
 
 def _run_qubo_sa(blades, disk, seed, sweeps=None, penalty_factor=None):

@@ -16,14 +16,13 @@ from turbobalance.bench import (
     BENCH_SOLVERS,
     IMBALANCE_THRESHOLD,
     RunRecord,
+    SummaryRow,
     iter_benchmark,
     load_corpus,
     read_records_csv,
-    records_to_json,
     run_seed,
-    summary_to_json,
-    write_records_csv,
-    write_summary_csv,
+    to_json,
+    write_csv,
 )
 
 
@@ -137,7 +136,7 @@ def test_csv_roundtrip_preserves_records_and_summaries(tmp_path):
                             solver_params=FAST_PARAMS)
     path = tmp_path / "runs.csv"
     with open(path, "w", newline="") as fh:
-        write_records_csv(records, fh)
+        write_csv(records, RunRecord, fh)
     reloaded = read_records_csv(path)
     assert reloaded == records
     assert summarize(reloaded) == summarize(records)
@@ -149,7 +148,7 @@ def test_csv_uses_plain_decimal_and_empty_absent_fields(tmp_path):
         RunRecord("I", "s", 1, 2, False, None, 4.0, False),
     ]
     buffer = io.StringIO()
-    write_records_csv(records, buffer)
+    write_csv(records, RunRecord, buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "instance,solver,repetition,seed,valid,imbalance,wall_time_ms,meets_threshold"
     assert lines[1] == "I,s,0,1,true,2.5,3.25,true"
@@ -158,10 +157,10 @@ def test_csv_uses_plain_decimal_and_empty_absent_fields(tmp_path):
 
 def test_json_exports_parse():
     records = [RunRecord("I", "s", 0, 1, True, 2.5, 3.25, True)]
-    parsed = json.loads(records_to_json(records))
+    parsed = json.loads(to_json(records))
     assert parsed[0]["imbalance"] == 2.5
     rows = summarize(records)
-    parsed_summary = json.loads(summary_to_json(rows))
+    parsed_summary = json.loads(to_json(rows))
     assert parsed_summary[0]["valid_count"] == 1
 
 
@@ -169,7 +168,7 @@ def test_summary_csv_layout():
     records = [RunRecord("I", "s", rep, rep, rep > 0, 2.0 if rep else None, 1.5, rep > 0)
                for rep in range(3)]
     buffer = io.StringIO()
-    write_summary_csv(summarize(records), buffer)
+    write_csv(summarize(records), SummaryRow, buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0].startswith("instance,solver,valid_count,mean_imbalance")
     assert lines[1].split(",")[2] == "2"

@@ -87,12 +87,31 @@ def test_bench_json_format(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"instances": [{"name": "NORM5_0000", "file": "NORM5_0000.json"}]}))
     out = tmp_path / "runs.json"
-    code = run_cli(["bench", "--manifest", str(manifest), "--solvers", "heuristic",
-                    "--repetitions", "2", "--format", "json", "--out", str(out)])
+    summary = tmp_path / "summary.json"
+    code = run_cli(["bench", "--manifest", str(manifest), "--solvers", "heuristic,imbalance-sa",
+                    "--repetitions", "2", "--sa-sweeps", "20", "--format", "json",
+                    "--out", str(out), "--summary", str(summary)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert len(payload) == 2
+    assert len(payload) == 4
     assert payload[0]["solver"] == "heuristic"
+    rows = json.loads(summary.read_text())
+    assert [(row["instance"], row["solver"], row["valid_count"]) for row in rows] == [
+        ("NORM5_0000", "heuristic", 2), ("NORM5_0000", "imbalance-sa", 2)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_summarize_to_stdout_equals_its_out_file(tmp_path, capsys, fmt):
+    runs = tmp_path / "runs.csv"
+    runs.write_text("instance,solver,repetition,seed,valid,imbalance,wall_time_ms,meets_threshold\n"
+                    "I,s,0,1,true,2.5,3.25,true\n"
+                    "I,s,1,2,false,,4.0,false\n"
+                    "J,s,0,3,true,1.0,2.0,true\n")
+    out = tmp_path / f"summary.{fmt}"
+    assert run_cli(["summarize", str(runs), "--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli(["summarize", str(runs), "--format", fmt]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_export_qubo_writes_sparse_file(tmp_path):

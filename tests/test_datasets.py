@@ -1,11 +1,14 @@
 import json
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from turbobalance import BladeSet, DiskImbalance, generate, load, load_instance, standard_corpus
-from turbobalance.datasets import FAMILIES, InstanceFormatError, load_manifest
+from turbobalance.bench import load_corpus
+from turbobalance.datasets import FAMILIES, InstanceFormatError, load_manifest, write_manifest
 
 
 def _skewness(values):
@@ -118,6 +121,30 @@ def test_load_rejects_scale_violation(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InstanceFormatError, match="scaling"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("masses", ["a", 2.0]),
+    ("masses", [[1.0, 2.0], [3.0, 4.0]]),
+    ("bare_imbalance", {"m0": -5, "phi0": 0.0}),
+    ("bare_imbalance", {"m0": 500.0, "phi0": "inf"}),
+])
+def test_malformed_field_is_a_format_error_naming_the_file(tmp_path, caplog, field, value):
+    good, bad = generate("NORM", 5, seed=1), generate("BETA", 6, seed=2)
+    good.save(tmp_path)
+    doc = bad.to_dict()
+    del doc["provenance"]  # no declared scaling to trip over first
+    doc[field] = value
+    path = tmp_path / f"{bad.name}.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceFormatError, match=f"{re.escape(str(path))}: field '{field}'"):
+        load_instance(path)
+    # the harness skips the file with a logged error and keeps the rest
+    manifest = write_manifest(tmp_path, [good.name, bad.name])
+    with caplog.at_level(logging.ERROR):
+        corpus = load_corpus(manifest)
+    assert [name for name, _, _ in corpus] == [good.name]
+    assert bad.name in caplog.text
 
 
 def test_load_skips_scale_check_without_declared_targets(tmp_path):

@@ -223,6 +223,7 @@ def test_config_validation():
     ({"sub_solver_params": {"tenure": 3}}, "tenure"),
     ({"merge_solver": "brute-force", "merge_solver_params": {"sweeps": 9}}, "sweeps"),
     ({"sub_solver": "imbalance-sa", "sub_solver_params": {"seed": 1}}, "seed"),
+    ({"sub_solver": "imbalance-sa", "sub_solver_params": {"record_best": True}}, "record_best"),
 ])
 def test_config_rejects_a_parameter_its_solver_does_not_take(config, name):
     with pytest.raises(ValueError, match=f"'{name}'"):

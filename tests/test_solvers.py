@@ -66,11 +66,6 @@ def test_heuristic_is_deterministic():
     assert first.imbalance == second.imbalance
 
 
-def test_heuristic_rejects_mismatched_geometry():
-    with pytest.raises(ValueError):
-        heuristic_solve(BladeSet([1.0, 2.0]), SlotGeometry(3))
-
-
 def test_heuristic_large_instance_is_fast():
     blades, _ = random_instance(np.random.default_rng(2), 100_000)
     start = time.perf_counter()
