@@ -77,14 +77,22 @@ def run_seed(base_seed: int, instance: str, solver: str, repetition: int) -> int
 
 def load_corpus(manifest_path):
     """Manifest -> [(name, BladeSet, DiskImbalance)]; unreadable instances are
-    skipped with a logged error."""
+    skipped with a logged error. Runs are seeded and summarized by name, so
+    two files carrying one name raise :class:`InstanceFormatError` naming
+    both."""
     loaded = []
+    paths = {}
     for path in load_manifest(manifest_path):
         try:
             instance = load_instance(path)
         except InstanceFormatError as err:
             logger.error("skipping instance %s: %s", path, err)
             continue
+        if instance.name in paths:
+            raise InstanceFormatError(
+                f"{path}: instance name {instance.name!r} is already used by {paths[instance.name]}"
+            )
+        paths[instance.name] = path
         loaded.append((instance.name, instance.blade_set(), instance.disk()))
     return loaded
 
@@ -210,22 +218,18 @@ def write_csv(rows, row_type, file) -> None:
         writer.writerow([_format_field(getattr(row, name)) for name in names])
 
 
+#: a CSV field's text -> its value, by the field's declared type; inverts _format_field
+_PARSERS = {"str": str, "int": int, "float": float, "bool": lambda text: text == "true",
+            "float | None": lambda text: float(text) if text else None}
+
+
 def read_records_csv(path) -> list:
+    """Records of a file that ``write_csv(..., RunRecord, ...)`` wrote; the
+    columns and their conversions come from RunRecord's fields."""
+    fields = dataclasses.fields(RunRecord)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        records = []
-        for row in reader:
-            records.append(RunRecord(
-                instance=row["instance"],
-                solver=row["solver"],
-                repetition=int(row["repetition"]),
-                seed=int(row["seed"]),
-                valid=row["valid"] == "true",
-                imbalance=float(row["imbalance"]) if row["imbalance"] else None,
-                wall_time_ms=float(row["wall_time_ms"]),
-                meets_threshold=row["meets_threshold"] == "true",
-            ))
-    return records
+        return [RunRecord(*(_PARSERS[f.type](row[f.name]) for f in fields))
+                for row in csv.DictReader(fh)]
 
 
 def to_json(rows) -> str:

@@ -183,9 +183,13 @@ def load_instance(path) -> InstanceFile:
         raise InstanceFormatError(f"{path}: expected a JSON object at the top level")
 
     name = _require(doc, "name", path)
+    if not isinstance(name, str) or not name:
+        raise InstanceFormatError(f"{path}: field 'name' must be a non-empty string")
     masses_raw = _require(doc, "masses", path)
     if not isinstance(masses_raw, list) or not masses_raw:
         raise InstanceFormatError(f"{path}: field 'masses' must be a non-empty list")
+    if any(isinstance(v, bool) for v in masses_raw):
+        raise InstanceFormatError(f"{path}: field 'masses' holds a boolean, not a mass")
     try:
         masses = BladeSet(masses_raw).masses
     except (TypeError, ValueError) as err:
@@ -221,7 +225,7 @@ def load_instance(path) -> InstanceFile:
                 f"{path}: field 'masses' breaks the declared scaling: std {std!r} != {target_std!r}"
             )
 
-    return InstanceFile(name=str(name), masses=masses, m0=m0, phi0=phi0, provenance=provenance)
+    return InstanceFile(name=name, masses=masses, m0=m0, phi0=phi0, provenance=provenance)
 
 
 def load(path):

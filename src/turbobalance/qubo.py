@@ -14,9 +14,9 @@ The dense N^2 x N^2 matrix Q is built only on request (``materialize=True``),
 in place in one array, and is what :func:`export_qubo` writes for external
 annealers. No solver touches it. The one evaluator,
 :class:`ImplicitEvaluator`, supports single bit flips with incremental energy
-deltas and never materializes Q, which keeps large instances (N^2 in the
-thousands) cheap; qubo-sa runs on it, and tabu search keeps its own array
-state that follows its arithmetic.
+deltas, scalar or all at once, and never materializes Q, which keeps large
+instances (N^2 in the thousands) cheap; qubo-sa and tabu search both run on
+it.
 """
 
 from __future__ import annotations
@@ -293,13 +293,31 @@ def qubo_energy(problem: QuboProblem, config) -> float:
 
 
 class ImplicitEvaluator:
-    """Matrix-free single-flip evaluation.
+    """Matrix-free single-flip evaluation, the one QUBO state of the solvers.
 
-    State is the running center-of-mass vector u = y + sum of active m_i*z_j,
-    the row/column popcounts, and the penalty total; a flip delta is O(1)
-    and applying a flip is O(1). Energies match x^T Q x of the materialized
-    matrix.
+    State is the bits, the running center-of-mass vector u = y + sum of
+    active m_i*z_j, the row/column popcounts and the energy; a flip delta and
+    a flip are O(1). Energies match x^T Q x of the materialized matrix.
+
+    The delta of flipping (i, j) is a center-of-mass term
+    2(1 - 2x) m_i (u . z_j) + m_i^2, which every flip changes, plus a row-i
+    and a column-j penalty term, which a flip of (i, j) changes only in row i
+    and column j (the one-flip move evaluation of Glover, Lu & Hao, 4OR
+    2010). The first :meth:`all_flip_deltas` after a :meth:`reset` builds
+    the N x N parts 2(1 - 2x) m, m^2 and the row and column penalty arrays;
+    from then on each flip updates them in O(N), so a call costs a few O(N^2)
+    vector passes. Every delta is computed with :meth:`flip_delta`'s float
+    operations in the same order, so both paths agree bit for bit: the
+    stored 2(1 - 2x) m is exact, and a row-i penalty entry
+    lam1_i (+-2(r_i - 1) + 1) takes one of two values, chosen by the bit,
+    so after a flip the pair is computed once and written to the row by
+    indexing it with the row's bits; likewise for column j with lam2.
     """
+
+    __slots__ = ("dimension", "_n", "_m", "_zx", "_zy", "_lambda1", "_lambda2", "_y",
+                 "_offset", "_arrays", "_m_sq", "_flat", "_deltas", "_pair", "_bits",
+                 "_rows", "_cols", "_ux", "_uy", "_energy", "_tsm", "_row_pen", "_col_pen",
+                 "_bit_rows", "_bit_cols", "_pen_rows", "_pen_cols")
 
     def __init__(self, problem: QuboProblem):
         n = problem.n
@@ -307,19 +325,16 @@ class ImplicitEvaluator:
         m = problem.blades.masses
         self.dimension = n * n
         self._n = n
-        self._mv_np = np.repeat(m, n)
-        self._zxv_np = np.tile(z[:, 0], n)
-        self._zyv_np = np.tile(z[:, 1], n)
-        self._l1v_np = np.repeat(problem.lambda1, n)
+        self._arrays = (m, z[:, 0].copy(), z[:, 1].copy(), problem.lambda1)
         # plain-float mirrors keep the scalar flip path free of numpy overhead
-        self._mv = self._mv_np.tolist()
-        self._zxv = self._zxv_np.tolist()
-        self._zyv = self._zyv_np.tolist()
-        self._l1v = self._l1v_np.tolist()
-        self._lambda1 = problem.lambda1.tolist()
+        self._m, self._zx, self._zy, self._lambda1 = (v.tolist() for v in self._arrays)
         self._lambda2 = float(problem.lambda2)
         self._y = (float(problem.disk.vector[0]), float(problem.disk.vector[1]))
         self._offset = float(problem.constant_offset)
+        self._m_sq = np.repeat((m * m)[:, None], n, axis=1)
+        self._flat = np.empty(self.dimension)
+        self._deltas = self._flat.reshape(n, n)
+        self._pair = np.empty(2)
         self.reset(np.zeros(self.dimension, dtype=np.int8))
 
     def reset(self, bits):
@@ -327,20 +342,20 @@ class ImplicitEvaluator:
         if bits.size != self.dimension:
             raise ValueError(f"expected {self.dimension} bits, got {bits.size}")
         n = self._n
+        m, zx, zy, _ = self._arrays
         mat = bits.reshape(n, n)
         self._bits = bits.tolist()
         self._rows = mat.sum(axis=1).tolist()
         self._cols = mat.sum(axis=0).tolist()
         bf = bits.astype(float)
-        self._ux = self._y[0] + float(bf @ (self._mv_np * self._zxv_np))
-        self._uy = self._y[1] + float(bf @ (self._mv_np * self._zyv_np))
-        self._energy = self._raw_energy()
-
-    def _raw_energy(self) -> float:
+        mv = np.repeat(m, n)
+        self._ux = self._y[0] + float(bf @ (mv * np.tile(zx, n)))
+        self._uy = self._y[1] + float(bf @ (mv * np.tile(zy, n)))
         pen = sum(
             l * (r - 1) ** 2 for l, r in zip(self._lambda1, self._rows)
         ) + self._lambda2 * sum((c - 1) ** 2 for c in self._cols)
-        return self._ux * self._ux + self._uy * self._uy + pen - self._offset
+        self._energy = self._ux * self._ux + self._uy * self._uy + pen - self._offset
+        self._tsm = None  # the N x N parts, built by the next all_flip_deltas
 
     def energy(self) -> float:
         return self._energy
@@ -349,36 +364,62 @@ class ImplicitEvaluator:
         return np.asarray(self._bits, dtype=np.int8)
 
     def flip_delta(self, a: int) -> float:
-        s = 1 - 2 * self._bits[a]
         i, j = divmod(a, self._n)
-        m = self._mv[a]
-        mass_term = 2.0 * s * m * (self._ux * self._zxv[a] + self._uy * self._zyv[a]) + m * m
-        row_term = self._l1v[a] * (2.0 * s * (self._rows[i] - 1) + 1.0)
-        col_term = self._lambda2 * (2.0 * s * (self._cols[j] - 1) + 1.0)
-        return mass_term + row_term + col_term
-
-    def all_flip_deltas(self) -> np.ndarray:
-        s = 1.0 - 2.0 * np.asarray(self._bits, dtype=float)
-        w = self._mv_np * (self._ux * self._zxv_np + self._uy * self._zyv_np)
-        rows = np.repeat(np.asarray(self._rows, dtype=float), self._n)
-        cols = np.tile(np.asarray(self._cols, dtype=float), self._n)
+        s = 1 - 2 * self._bits[a]
+        m = self._m[i]
         return (
-            2.0 * s * w
-            + self._mv_np * self._mv_np
-            + self._l1v_np * (2.0 * s * (rows - 1.0) + 1.0)
-            + self._lambda2 * (2.0 * s * (cols - 1.0) + 1.0)
+            2.0 * s * m * (self._ux * self._zx[j] + self._uy * self._zy[j]) + m * m
+            + self._lambda1[i] * (2.0 * s * (self._rows[i] - 1) + 1.0)
+            + self._lambda2 * (2.0 * s * (self._cols[j] - 1) + 1.0)
         )
 
+    def all_flip_deltas(self) -> np.ndarray:
+        """Every single-flip delta, in the evaluator's own (N^2,) buffer,
+        which the next call overwrites."""
+        m, zx, zy, lambda1 = self._arrays
+        if self._tsm is None:
+            n = self._n
+            bits = np.asarray(self._bits, dtype=np.intp).reshape(n, n)
+            two_s = 2.0 * (1.0 - 2.0 * bits)  # 2(1 - 2x): twice the flip direction
+            rows = np.asarray(self._rows, dtype=float)[:, None]
+            cols = np.asarray(self._cols, dtype=float)[None, :]
+            self._row_pen = lambda1[:, None] * (two_s * (rows - 1.0) + 1.0)
+            self._col_pen = self._lambda2 * (two_s * (cols - 1.0) + 1.0)
+            self._tsm = two_s * m[:, None]
+            self._bit_rows, self._bit_cols = list(bits), list(bits.T)
+            self._pen_rows, self._pen_cols = list(self._row_pen), list(self._col_pen.T)
+        deltas = self._deltas
+        np.multiply(self._tsm, self._ux * zx + self._uy * zy, out=deltas)
+        deltas += self._m_sq
+        deltas += self._row_pen
+        deltas += self._col_pen
+        return self._flat
+
     def flip(self, a: int):
-        s = 1 - 2 * self._bits[a]
         i, j = divmod(a, self._n)
-        self._energy += self.flip_delta(a)
-        sm = s * self._mv[a]
-        self._ux += sm * self._zxv[a]
-        self._uy += sm * self._zyv[a]
-        self._rows[i] += s
-        self._cols[j] += s
-        self._bits[a] += s
+        x = self._bits[a]
+        s = 1 - 2 * x
+        m, zx, zy = self._m[i], self._zx[j], self._zy[j]
+        r, c = self._rows[i], self._cols[j]
+        li, lam2 = self._lambda1[i], self._lambda2
+        self._energy += (  # flip_delta(a), inlined to save a call per flip
+            2.0 * s * m * (self._ux * zx + self._uy * zy) + m * m
+            + li * (2.0 * s * (r - 1) + 1.0)
+            + lam2 * (2.0 * s * (c - 1) + 1.0)
+        )
+        self._ux += s * m * zx
+        self._uy += s * m * zy
+        self._rows[i] = r = r + s
+        self._cols[j] = c = c + s
+        self._bits[a] = 1 - x
+        if self._tsm is not None:
+            self._bit_rows[i][j] = 1 - x
+            self._tsm[i, j] = -2.0 * s * m
+            pair = self._pair
+            pair[0], pair[1] = li * (2.0 * (r - 1.0) + 1.0), li * (-2.0 * (r - 1.0) + 1.0)
+            self._pen_rows[i][...] = pair[self._bit_rows[i]]
+            pair[0], pair[1] = lam2 * (2.0 * (c - 1.0) + 1.0), lam2 * (-2.0 * (c - 1.0) + 1.0)
+            self._pen_cols[j][...] = pair[self._bit_cols[j]]
 
 
 def export_qubo(problem: QuboProblem, path):

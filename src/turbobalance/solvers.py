@@ -381,128 +381,48 @@ def tabu_solve(
     and none aspirates, all moves are candidates. Ties go to the lowest
     variable index. The only randomness is the seeded starting configuration.
 
-    The search keeps its own N x N array state rather than an evaluator. The
-    delta of flipping (i, j) is a centre-of-mass term, which every flip
-    changes, plus a row-i and a column-j penalty term, and a flip of (i, j)
-    changes only row i and column j of those (the one-flip update of Glover,
-    Lu & Hao, 4OR 2010). So an iteration costs a few O(N^2) vector passes
-    plus O(N) penalty updates. Deltas and energies use the same float
-    operations, in the same order, as :class:`~turbobalance.qubo.ImplicitEvaluator`,
-    so the trajectory equals an evaluator-driven search bit for bit:
-
-    - The centre-of-mass term is ``(2(1 - 2x) m) * (u . z)`` from one stored
-      array, where the evaluator computes ``2(1 - 2x) * (m * (u . z))``.
-      Scaling by +-2 is exact, so both round to the same double (barring
-      overflow or subnormal products).
-    - A row-i penalty entry is ``lam1_i * (+-2(r_i - 1) + 1)``: it takes only
-      two values, chosen by the bit. After a flip the pair is computed once
-      with the evaluator's operations and written to the row by indexing it
-      with the row's bits; likewise for column j with ``lam2``.
-    - The last ``min(tenure, max_iterations)`` flips sit in a ring whose
-      unused slots point at a spare slot just past the deltas, so one fancy
-      assignment of ``+inf`` masks every tabu move. Nothing is sized by
-      ``tenure`` alone.
+    The search drives the problem's
+    :class:`~turbobalance.qubo.ImplicitEvaluator`, whose vector deltas cost a
+    few O(N^2) passes per iteration, and keeps only the tabu rules: the last
+    ``min(tenure, max_iterations)`` flips sit in a ring, so one fancy
+    assignment of ``+inf`` masks every tabu move. Nothing is sized by
+    ``tenure`` alone.
     """
     t_start = time.perf_counter()
-    n = problem.n
     dim = problem.dimension
     if tenure is None:
-        tenure = 10 + n
+        tenure = 10 + problem.n
     if max_iterations is None:
-        max_iterations = 50 * n * n
+        max_iterations = 50 * dim
     if tenure < 1 or max_iterations < 1:
         raise ValueError("tenure and max_iterations must be positive")
 
     rng = np.random.default_rng(seed)
-    start = rng.integers(0, 2, size=dim, dtype=np.int8)
-
-    m = problem.blades.masses
-    z = SlotGeometry(n).unit_vectors()
-    zx, zy = z[:, 0].copy(), z[:, 1].copy()
-    lam1 = problem.lambda1
-    lam2 = float(problem.lambda2)
-    m_l, zx_l, zy_l, lam1_l = m.tolist(), zx.tolist(), zy.tolist(), lam1.tolist()
-
-    # start state, computed exactly as ImplicitEvaluator.reset does
-    bits = start.reshape(n, n)
-    rows = bits.sum(axis=1).tolist()
-    cols = bits.sum(axis=0).tolist()
-    bf = start.astype(float)
-    ux = float(problem.disk.vector[0]) + float(bf @ (np.repeat(m, n) * np.tile(zx, n)))
-    uy = float(problem.disk.vector[1]) + float(bf @ (np.repeat(m, n) * np.tile(zy, n)))
-    pen = sum(l * (r - 1) ** 2 for l, r in zip(lam1_l, rows)) + lam2 * sum(
-        (c - 1) ** 2 for c in cols
-    )
-    energy = ux * ux + uy * uy + pen - float(problem.constant_offset)
-
-    two_s = 2.0 * (1.0 - 2.0 * bits)  # 2(1 - 2x): twice the flip direction
-    row_pen = lam1[:, None] * (two_s * (np.asarray(rows, dtype=float)[:, None] - 1.0) + 1.0)
-    col_pen = lam2 * (two_s * (np.asarray(cols, dtype=float)[None, :] - 1.0) + 1.0)
-    tsm = two_s * m[:, None]
-    m_sq = np.repeat((m * m)[:, None], n, axis=1)
-    buf = np.empty(dim + 1)  # deltas, then a spare slot unused ring entries point at
-    flat = buf[:dim]
-    deltas = flat.reshape(n, n)
-
-    bits_l = start.tolist()
-    bits_ip = start.astype(np.intp).reshape(n, n)
-    bit_rows, bit_cols = list(bits_ip), list(bits_ip.T)
-    pen_rows, pen_cols = list(row_pen), list(col_pen.T)
-    pair = np.empty(2)
-    ring = np.full(min(tenure, max_iterations), dim, dtype=np.intp)  # the last flips
+    ev = problem.evaluator()
+    ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
+    all_flip_deltas, flip, energy_of = ev.all_flip_deltas, ev.flip, ev.energy
+    deltas = all_flip_deltas()
+    argmin, inf = deltas.argmin, math.inf  # the evaluator reuses one delta buffer
+    ring = np.empty(min(tenure, max_iterations), dtype=np.intp)  # the last flips
     ring_len = len(ring)
-    argmin, take, inf = flat.argmin, pair.take, math.inf
 
-    best_energy = energy
+    energy = best_energy = energy_of()
     flip_log = []
     best_pos = 0
     tabu_until = [0] * dim
 
     for k in range(max_iterations):
-        # (2s * m(u . z) + m^2) + row term + column term, as all_flip_deltas
-        np.multiply(tsm, ux * zx + uy * zy, out=deltas)
-        deltas += m_sq
-        deltas += row_pen
-        deltas += col_pen
-
+        all_flip_deltas()
         a = int(argmin())
-        if tabu_until[a] > k and not energy + flat[a] < best_energy:
+        if tabu_until[a] > k and not energy + deltas[a] < best_energy:
             # float addition is monotone, so no costlier tabu move aspirates
             # either: pick the best non-tabu move, if any
-            buf[ring] = inf
+            deltas[ring[:k]] = inf  # until the ring wraps, only k slots hold flips
             b = int(argmin())
-            if flat[b] != inf:
+            if deltas[b] != inf:
                 a = b
-
-        i, j = divmod(a, n)
-        x = bits_l[a]
-        s = 1 - 2 * x
-        mi = m_l[i]
-        r = rows[i]
-        c = cols[j]
-        energy += (
-            2.0 * s * mi * (ux * zx_l[j] + uy * zy_l[j]) + mi * mi
-            + lam1_l[i] * (2.0 * s * (r - 1) + 1.0)
-            + lam2 * (2.0 * s * (c - 1) + 1.0)
-        )
-        sm = s * mi
-        ux += sm * zx_l[j]
-        uy += sm * zy_l[j]
-        r += s
-        c += s
-        rows[i] = r
-        cols[j] = c
-        bits_l[a] = bits_ip[i, j] = 1 - x
-        tsm[i, j] = -2.0 * s * mi
-        # row i and column j penalties take one of two values, chosen by the bit
-        li = lam1_l[i]
-        pair[0] = li * (2.0 * (r - 1.0) + 1.0)
-        pair[1] = li * (-2.0 * (r - 1.0) + 1.0)
-        take(bit_rows[i], out=pen_rows[i], mode="clip")
-        pair[0] = lam2 * (2.0 * (c - 1.0) + 1.0)
-        pair[1] = lam2 * (-2.0 * (c - 1.0) + 1.0)
-        take(bit_cols[j], out=pen_cols[j], mode="clip")
-
+        flip(a)
+        energy = energy_of()
         flip_log.append(a)
         tabu_until[a] = k + 1 + tenure
         ring[k % ring_len] = a
@@ -511,7 +431,7 @@ def tabu_solve(
             best_pos = len(flip_log)
 
     return _report_from_bits(
-        problem, bits_l, flip_log[best_pos:], "tabu", seed, t_start, max_iterations
+        problem, ev.bits(), flip_log[best_pos:], "tabu", seed, t_start, max_iterations
     )
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import same_name_manifest
 from turbobalance import decode, generate
 from turbobalance.cli import main
 from turbobalance.solvers import SOLVERS
@@ -244,6 +245,8 @@ def test_data_error_exits_two(tmp_path):
     assert run_cli(["generate", "--family", "NORM", "--n", "1",
                     "--out-dir", str(tmp_path)]) == 2
     assert run_cli(["summarize", str(tmp_path / "missing.csv")]) == 2
+    assert run_cli(["bench", "--manifest", str(same_name_manifest(tmp_path)),
+                    "--solvers", "heuristic", "--repetitions", "1"]) == 2
 
 
 def test_corpus_dir_env_override(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import same_name_manifest
 from turbobalance import BladeSet, DiskImbalance, generate, load, load_instance, standard_corpus
 from turbobalance.bench import load_corpus
 from turbobalance.datasets import FAMILIES, InstanceFormatError, load_manifest, write_manifest
@@ -128,6 +129,9 @@ def test_load_rejects_scale_violation(tmp_path):
     ("masses", [[1.0, 2.0], [3.0, 4.0]]),
     ("bare_imbalance", {"m0": -5, "phi0": 0.0}),
     ("bare_imbalance", {"m0": 500.0, "phi0": "inf"}),
+    ("name", None),
+    ("masses", [True, 2.0, 3.0]),
+    ("name", ""),
 ])
 def test_malformed_field_is_a_format_error_naming_the_file(tmp_path, caplog, field, value):
     good, bad = generate("NORM", 5, seed=1), generate("BETA", 6, seed=2)
@@ -145,6 +149,15 @@ def test_malformed_field_is_a_format_error_naming_the_file(tmp_path, caplog, fie
         corpus = load_corpus(manifest)
     assert [name for name, _, _ in corpus] == [good.name]
     assert bad.name in caplog.text
+
+
+def test_load_corpus_rejects_two_files_with_one_name(tmp_path):
+    # runs are seeded and summarized by name, so the two would merge into one cell
+    manifest = same_name_manifest(tmp_path)
+    with pytest.raises(InstanceFormatError) as err:
+        load_corpus(manifest)
+    assert str(tmp_path / "a.json") in str(err.value)
+    assert str(tmp_path / "b.json") in str(err.value)
 
 
 def test_load_skips_scale_check_without_declared_targets(tmp_path):

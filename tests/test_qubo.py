@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_sigma, rel_close
+from conftest import from_scratch_deltas, random_instance, random_sigma, rel_close
 from turbobalance import (
     Assignment,
     BinaryConfiguration,
@@ -329,6 +329,35 @@ def test_incremental_energy_does_not_drift():
     walked = evaluator.energy()
     evaluator.reset(evaluator.bits())
     assert rel_close(walked, evaluator.energy(), 1e-6)
+
+
+@pytest.mark.parametrize("kind", ["random", "random-disk", "equal"])
+@pytest.mark.parametrize("n", [12, 23])
+def test_all_flip_deltas_equal_the_from_scratch_formula_along_a_long_walk(n, kind):
+    # the vector deltas are updated per flip; they must stay bit-equal to a
+    # recomputation from the bits, and to the scalar flip_delta
+    if kind == "equal":
+        blades, disk = BladeSet([1.0e4] * n), DiskImbalance()
+    else:
+        blades, disk = random_instance(np.random.default_rng(40 + n),
+                                       n, with_disk=kind == "random-disk")
+    problem = build_qubo(blades, disk, materialize=False)
+    ev = problem.evaluator()
+    rng = np.random.default_rng(41 + n)
+    steps = 5000
+    ev.reset(rng.integers(0, 2, size=problem.dimension, dtype=np.int8))
+    for step in range(steps):
+        if step == steps // 2:
+            # the parts are rebuilt for the new bits, after flips made without them
+            ev.reset(rng.integers(0, 2, size=problem.dimension, dtype=np.int8))
+            for a in rng.integers(0, problem.dimension, size=10).tolist():
+                ev.flip(a)
+        deltas = ev.all_flip_deltas()
+        assert np.array_equal(deltas, from_scratch_deltas(problem, ev.bits(), (ev._ux, ev._uy)))
+        # half the moves descend, so the walk also visits one-hot rows and columns
+        a = int(np.argmin(deltas)) if step % 2 else int(rng.integers(problem.dimension))
+        assert ev.flip_delta(a) == deltas[a]
+        ev.flip(a)
 
 
 def test_implicit_energy_matches_dense_qubo_energy():

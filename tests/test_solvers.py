@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_sigma, rel_close
+from conftest import from_scratch_deltas, random_instance, random_sigma, rel_close
 from turbobalance import (
     AnnealSchedule,
     Assignment,
@@ -301,6 +301,28 @@ def test_qubo_sa_best_history_is_monotone():
     assert all(b <= a + 1e-6 for a, b in zip(history, history[1:]))
 
 
+# Fixed-seed qubo-sa outputs on a 20-sweep schedule, as packed bits
+# (np.packbits, hex). A change to the evaluator's scalar flip arithmetic or to
+# qubo-sa's random stream shows up here first.
+QUBO_SA_GOLDEN = [
+    (6, 61, 0, "0428102040", True),
+    (6, 61, 1, "4200422040", True),
+    (20, 62, 0, "0008000840000100000140000040001000001000000020000408000020000010000200800000"
+                "040000020000002000000008", False),
+    (20, 62, 1, "2800000004001000020001000800000000802020040000000000080100000000100002004000"
+                "004000010400000000000800", False),
+]
+
+
+@pytest.mark.parametrize("n, instance_seed, seed, packed, valid", QUBO_SA_GOLDEN)
+def test_qubo_sa_golden_bits(n, instance_seed, seed, packed, valid):
+    blades, disk = random_instance(np.random.default_rng(instance_seed), n, with_disk=True)
+    problem = build_qubo(blades, disk, materialize=False)
+    report = qubo_sa_solve(problem, schedule=default_qubo_schedule(problem, 20), seed=seed)
+    assert np.packbits(report.configuration.bits.astype(np.uint8)).tobytes().hex() == packed
+    assert report.valid is valid
+
+
 def test_tabu_single_blade():
     problem = build_qubo(BladeSet([2.0]), DiskImbalance())
     report = tabu_solve(problem, seed=0)
@@ -333,9 +355,10 @@ def test_tabu_is_deterministic_across_repeats():
 
 
 def _evaluator_tabu(problem, tenure, max_iterations, seed, events):
-    """Reference tabu search driven by the implicit evaluator's
-    ``all_flip_deltas`` / ``flip``; counts how often the all-tabu fallback
-    and aspiration decide the move."""
+    """Reference tabu search that takes its deltas from the from-scratch
+    formula, not from the evaluator's incremental arrays, and moves with
+    the evaluator's ``flip``; counts how often the all-tabu fallback and
+    aspiration decide the move."""
     dim = problem.dimension
     rng = np.random.default_rng(seed)
     ev = problem.evaluator()
@@ -345,7 +368,7 @@ def _evaluator_tabu(problem, tenure, max_iterations, seed, events):
     best_pos = 0
     tabu_until = np.zeros(dim, dtype=np.int64)
     for k in range(max_iterations):
-        deltas = ev.all_flip_deltas()
+        deltas = from_scratch_deltas(problem, ev.bits(), (ev._ux, ev._uy))
         allowed = tabu_until <= k
         candidates = allowed | (energy + deltas < best_energy)
         if not candidates.any():
