@@ -3,9 +3,10 @@ repetitions, and reduce the per-run records to summary statistics.
 
 Each scheduled (instance, solver, repetition) run gets its own seed derived
 from the base seed and a stable hash of the triple, so any single run can be
-reproduced in isolation. For every valid output the recorded imbalance is
-re-evaluated on the full objective (blades plus bare disk), which keeps the
-numbers comparable across solvers that do or do not look at the disk.
+reproduced in isolation. A record's imbalance is its report's: every entry
+of :data:`BENCH_SOLVERS` measures it on the full objective (blades plus
+bare disk), so the numbers stay comparable across solvers that do or do not
+look at the disk. Solver names and parameters are checked before any run.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .datasets import InstanceFormatError, load_instance, load_manifest
 from .decompose import DecompositionConfig, decompose_solve
-from .model import derive_seed, imbalance
-from .solvers import SOLVERS, get_solver
+from .model import derive_seed
+from .solvers import SOLVERS, get_solver, keyword_parameters
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +70,13 @@ def _run_decompose(blades, disk, seed, **config):
 BENCH_SOLVERS = {**SOLVERS, "decompose": _run_decompose}
 
 
+def solver_parameters(solver: str) -> list:
+    """Names of the parameters ``solver`` takes: its registry entry's, or the
+    :class:`DecompositionConfig` fields for ``decompose``."""
+    entry = get_solver(solver, BENCH_SOLVERS)
+    return keyword_parameters(DecompositionConfig if solver == "decompose" else entry)
+
+
 def run_seed(base_seed: int, instance: str, solver: str, repetition: int) -> int:
     """Per-run seed: base_seed XOR a stable 63-bit hash of the run triple."""
     digest = derive_seed(instance, solver, repetition, sep="\x1f")
@@ -108,7 +116,7 @@ def _execute_run(task):
         report = None
     wall_ms = (time.perf_counter() - t0) * 1e3
     valid = report is not None and report.valid
-    d = imbalance(blades, disk, report.assignment).d if valid else None
+    d = report.imbalance if valid else None
     return RunRecord(name, solver, repetition, seed, valid, d, wall_ms,
                      valid and d <= IMBALANCE_THRESHOLD)
 
@@ -118,13 +126,24 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
     """Yield one RunRecord per scheduled run, in schedule order.
 
     ``instances`` is a list of (name, BladeSet, DiskImbalance). Unknown
-    solver names are rejected before anything runs. With ``jobs`` > 1 the
-    runs execute in a process pool; the record order stays deterministic.
+    solver names, and parameters (``solver_params[solver]``) that a solver
+    does not take, raise ``ValueError`` before anything runs. With ``jobs``
+    > 1 the runs execute in a process pool; the record order stays
+    deterministic.
     """
     solvers = list(solvers)
-    for solver in solvers:
-        get_solver(solver, BENCH_SOLVERS)
     params = solver_params or {}
+    for solver in solvers:
+        given, accepted = params.get(solver, {}), solver_parameters(solver)
+        for name in given:
+            if name not in accepted:
+                raise ValueError(f"solver {solver!r} takes no parameter {name!r}; "
+                                 f"it takes {accepted}")
+        if solver == "decompose":  # checks its sub- and merge-solver parameters too
+            try:
+                DecompositionConfig(**given)
+            except ValueError as err:
+                raise ValueError(f"solver 'decompose': {err}") from None
     tasks = [
         (name, blades, disk, solver, params.get(solver, {}),
          run_seed(base_seed, name, solver, repetition), repetition)
@@ -219,17 +238,34 @@ def write_csv(rows, row_type, file) -> None:
 
 
 #: a CSV field's text -> its value, by the field's declared type; inverts _format_field
-_PARSERS = {"str": str, "int": int, "float": float, "bool": lambda text: text == "true",
+_PARSERS = {"str": str, "int": int, "float": float,
+            "bool": {"true": True, "false": False}.__getitem__,
             "float | None": lambda text: float(text) if text else None}
+
+
+def _parse_cell(path, line, field, text):
+    # a short row's cells are None from the first missing one on; the last
+    # column's bool parser rejects None, so every short row fails
+    try:
+        return _PARSERS[field.type](text)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: line {line}, column {field.name!r}: "
+                         f"cannot read {text!r} ({err})") from None
 
 
 def read_records_csv(path) -> list:
     """Records of a file that ``write_csv(..., RunRecord, ...)`` wrote; the
-    columns and their conversions come from RunRecord's fields."""
+    columns and their conversions come from RunRecord's fields. A missing
+    column, or a cell that does not convert, raises ``ValueError`` naming the
+    file and the column (and the cell's line)."""
     fields = dataclasses.fields(RunRecord)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [RunRecord(*(_PARSERS[f.type](row[f.name]) for f in fields))
-                for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        for f in fields:
+            if f.name not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: no column {f.name!r}")
+        return [RunRecord(*(_parse_cell(path, reader.line_num, f, row[f.name]) for f in fields))
+                for row in reader]
 
 
 def to_json(rows) -> str:

@@ -22,7 +22,6 @@ from . import datasets
 from .datasets import InstanceFormatError, load_instance
 from .decompose import DecompositionConfig, decompose_solve
 from .qubo import DEFAULT_PENALTY_FACTOR, build_qubo, decode, export_qubo
-from .solvers import get_solver, keyword_parameters
 
 ENV_CORPUS = "TURBOBALANCE_CORPUS"
 
@@ -125,9 +124,8 @@ def _params(args, solver) -> tuple:
     sub-solver and merge solver, which set ``sub_solver_params`` and
     ``merge_solver_params``.
     """
-    entry = DecompositionConfig if solver == "decompose" else get_solver(solver, bench_mod.BENCH_SOLVERS)
     params, used = {}, set()
-    for name in keyword_parameters(entry):
+    for name in bench_mod.solver_parameters(solver):
         dest = _BENCH_SWEEPS.get(solver, name) if args.command == "bench" and name == "sweeps" else name
         if hasattr(args, dest):
             used.add(dest)
@@ -219,7 +217,8 @@ def _cmd_solve(args) -> int:
     if args.solver == "decompose":
         report, trace = decompose_solve(blades, disk, DecompositionConfig(**params), args.seed)
         if args.trace is not None:
-            trace.to_json(args.trace)
+            with _output(args.trace) as fh:
+                fh.write(trace.to_json())
     else:
         report = bench_mod.BENCH_SOLVERS[args.solver](blades, disk, args.seed, **params)
     with _output(args.output) as fh:

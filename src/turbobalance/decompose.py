@@ -4,13 +4,15 @@ Large instances are cut down for solvers that only handle a few blades at a
 time: the blade list (in heuristic placement order) is split recursively into
 even- and odd-position groups until every group is at or below the cap, each
 group is solved as a standalone balancing problem on its own equidistant
-slots with a balanced disk, and the group residuals are then balanced against
-each other (and against the real bare-disk imbalance) as one more balancing
-problem. The final physical placement rotates every group onto its assigned
-merge direction and rounds it to the slot grid as a rigid unit, choosing the
-grid shift that best cancels the rounding drift accumulated so far (see
-:func:`_realize`). The reported imbalance is always recomputed exactly on
-the composed assignment, never summed from residuals.
+slots with a balanced disk (:func:`_solve_leaf`; an instance already under
+the cap is a single group, solved on its real disk), and the group
+residuals are then balanced against each other (and against the real
+bare-disk imbalance) as one more balancing problem. The final physical
+placement rotates every group onto its assigned merge direction and rounds
+it to the slot grid as a rigid unit, choosing the grid shift that best
+cancels the rounding drift accumulated so far (see :func:`_realize`; every
+blade is rounded by :func:`_nearest_free`). The reported imbalance is always
+recomputed exactly on the composed assignment, never summed from residuals.
 """
 
 from __future__ import annotations
@@ -95,6 +97,12 @@ class TraceNode:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def leaves(self) -> list:
+        """The leaves under this node, left to right."""
+        if self.is_leaf:
+            return [self]
+        return [leaf for child in self.children for leaf in child.leaves()]
+
     def to_dict(self) -> dict:
         if self.children:
             return {
@@ -124,17 +132,7 @@ class DecompositionTrace:
     merge_fallback: bool = False
 
     def leaves(self) -> list:
-        out = []
-
-        def walk(node):
-            if node.is_leaf:
-                out.append(node)
-            else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return out
+        return self.root.leaves()
 
     def to_dict(self) -> dict:
         doc = {"tree": self.root.to_dict()}
@@ -147,12 +145,9 @@ class DecompositionTrace:
             }
         return doc
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+    def to_json(self) -> str:
+        """The trace document as indented JSON text, without a final newline."""
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def split(order):
@@ -167,17 +162,28 @@ def _solve_valid(solver_name, params, blades, disk, seed, key, first_seed=None):
     """Run a solver, retrying invalid outputs with fresh seeds, then falling
     back to the heuristic. Returns (report, solver_used, fallback, attempts)."""
     fn = get_solver(solver_name)
-    attempts = 0
     for attempt in range(1 + _MAX_RETRIES):
         if attempt == 0 and first_seed is not None:
-            attempt_seed = first_seed
+            report = fn(blades, disk, first_seed, **params)
         else:
-            attempt_seed = derive_seed(seed, *key, attempt)
-        report = fn(blades, disk, attempt_seed, **params)
-        attempts += 1
+            report = fn(blades, disk, derive_seed(seed, *key, attempt), **params)
         if report.valid:
-            return report, solver_name, False, attempts
-    return heuristic_solve(blades), "heuristic", True, attempts + 1
+            return report, solver_name, False, attempt + 1
+    return heuristic_solve(blades), "heuristic", True, 2 + _MAX_RETRIES
+
+
+def _solve_leaf(leaf, group, disk, config, seed, key, first_seed=None):
+    """Solve ``group`` (the blades of ``leaf``, in leaf order) on ``disk`` with
+    the sub-solver, as :func:`_solve_valid` does, and record on ``leaf`` the
+    outcome and the group's residual vector, magnitude and angle."""
+    leaf.report, leaf.solver, leaf.fallback, leaf.attempts = _solve_valid(
+        config.sub_solver, config.sub_solver_params, group, disk, seed, key, first_seed
+    )
+    vec = imbalance(group, disk, leaf.report.assignment).vector
+    mag = float(np.hypot(vec[0], vec[1]))
+    leaf.residual = (float(vec[0]), float(vec[1]))
+    leaf.residual_magnitude = mag
+    leaf.residual_angle = math.atan2(vec[1], vec[0]) % TWO_PI if mag > RESIDUAL_FLOOR else 0.0
 
 
 def _build_tree(ids, cap, exact=True) -> TraceNode:
@@ -189,21 +195,36 @@ def _build_tree(ids, cap, exact=True) -> TraceNode:
     return node
 
 
+def _nearest_free(targets, order, phi, free) -> np.ndarray:
+    """Grid slot of each angle in ``targets``, taken in ``order``: the slot
+    whose angle in ``phi`` is nearest among those that ``free`` marks and no
+    earlier target took, ties to the lower index. ``free`` is not changed."""
+    free = free.copy()
+    slots = np.empty(len(targets), dtype=np.int64)
+    for b in order:
+        distance = np.abs((targets[b] - phi + math.pi) % TWO_PI - math.pi)
+        distance[~free] = np.inf
+        slots[b] = s = int(np.argmin(distance))
+        free[s] = False
+    return slots
+
+
 def _realize(masses, disk, leaves, merge_report, n) -> np.ndarray:
     """Map the rotated group solutions onto the physical N-slot grid.
 
     Groups are placed one at a time, largest residual first, as rigid units:
-    a group's internal placement is rounded to the grid once (heaviest blade
-    to its nearest slot first; pattern-internal clashes go to the nearest
-    still-open slot, ties to the lower index), and the whole pattern is then
+    a group's internal placement is rounded to the grid once by
+    :func:`_nearest_free` (heaviest blade first; pattern-internal clashes go
+    to the nearest still-open slot), and the whole pattern is then
     shifted by the grid step that keeps all its slots free and leaves the
     running composed vector smallest. Anchoring the shift search on the
     composed vector keeps the group pointing near its assigned merge
     direction while letting later groups cancel the rounding error earlier
     ones picked up. If no collision-free rigid shift exists the group falls
-    back to per-blade nearest-free rounding.
+    back to the same nearest-free rounding among the slots still free.
     """
     step = TWO_PI / n
+    phi = step * np.arange(n)
     psi = SlotGeometry(len(leaves)).angles()[merge_report.assignment.slots0]
     intended = [
         leaf.residual_magnitude * np.array([math.cos(p), math.sin(p)])
@@ -216,20 +237,12 @@ def _realize(masses, disk, leaves, merge_report, n) -> np.ndarray:
     for li in np.argsort([-leaf.residual_magnitude for leaf in leaves], kind="stable"):
         leaf = leaves[li]
         ids0 = np.asarray(leaf.blades) - 1
-        size = len(ids0)
         rho = (psi[li] - leaf.residual_angle) % TWO_PI
-        targets = (SlotGeometry(size).angles()[leaf.report.assignment.slots0] + rho) % TWO_PI
+        targets = (SlotGeometry(len(ids0)).angles()[leaf.report.assignment.slots0] + rho) % TWO_PI
         heavy = np.argsort(-masses[ids0], kind="stable")
         acc = acc - intended[li]
 
-        pattern = np.full(size, -1, dtype=np.int64)
-        taken = np.zeros(n, dtype=bool)
-        for b in heavy:
-            distance = np.abs((targets[b] - step * np.arange(n) + math.pi) % TWO_PI - math.pi)
-            distance[taken] = np.inf
-            s = int(np.argmin(distance))
-            pattern[b] = s
-            taken[s] = True
+        pattern = _nearest_free(targets, heavy, phi, np.ones(n, dtype=bool))
         r0 = masses[ids0] @ np.column_stack(
             [np.cos(step * pattern), np.sin(step * pattern)]
         )
@@ -250,22 +263,16 @@ def _realize(masses, disk, leaves, merge_report, n) -> np.ndarray:
         if best is not None:
             _, j, realized, slots = best
             leaf.rotation = float((rho + step * j) % TWO_PI)
-            acc = acc + realized
-            sigma0[ids0] = slots
-            free[slots] = False
         else:
             # the free slots cannot host the pattern rigidly
             leaf.rotation = float(rho)
-            phi = step * np.arange(n)
-            realized = np.zeros(2)
-            for b in heavy:
-                distance = np.abs((targets[b] - phi + math.pi) % TWO_PI - math.pi)
-                distance[~free] = np.inf
-                s = int(np.argmin(distance))
-                sigma0[ids0[b]] = s
-                free[s] = False
-                realized += masses[ids0[b]] * np.array([math.cos(phi[s]), math.sin(phi[s])])
-            acc = acc + realized
+            slots = _nearest_free(targets, heavy, phi, free)
+            # summed apart from acc, heaviest first: acc's rounding steers later shifts
+            realized = sum(masses[ids0[b]] * np.array([math.cos(phi[s]), math.sin(phi[s])])
+                           for b, s in zip(heavy, slots[heavy]))
+        acc = acc + realized
+        sigma0[ids0] = slots
+        free[slots] = False
     return sigma0
 
 
@@ -277,9 +284,10 @@ def decompose_solve(
 ):
     """Run the full pipeline; returns (SolveReport, DecompositionTrace).
 
-    When the instance already fits under the cap no split happens and the
-    result is the sub-solver's answer on the full problem (first attempt run
-    with the given seed, so the two calls are interchangeable).
+    When the instance already fits under the cap no split happens: the root
+    is the one leaf, solved on ``disk`` with its first attempt run on
+    ``seed`` itself, so the result is the sub-solver's answer on the full
+    problem and the two calls are interchangeable.
     """
     t_start = time.perf_counter()
     if config is None:
@@ -290,61 +298,29 @@ def decompose_solve(
     masses = blades.masses
 
     if n <= config.max_subproblem:
-        report, used, fb, attempts = _solve_valid(
-            config.sub_solver, config.sub_solver_params, blades, disk, seed,
-            ("root",), first_seed=seed,
-        )
-        result = imbalance(blades, disk, report.assignment)
-        root = TraceNode(
-            blades=tuple(range(1, n + 1)),
-            solver=used,
-            report=report,
-            residual=(float(result.vector[0]), float(result.vector[1])),
-            residual_magnitude=result.d,
-            residual_angle=0.0,
-            rotation=0.0,
-            fallback=fb,
-            attempts=attempts,
-        )
+        root = TraceNode(blades=tuple(range(1, n + 1)), rotation=0.0)
+        _solve_leaf(root, blades, disk, config, seed, ("root",), first_seed=seed)
         final = SolveReport.of_assignment(
-            "decompose", blades, disk, report.assignment, seed, t_start, report.iterations
+            "decompose", blades, disk, root.report.assignment, seed, t_start, root.report.iterations
         )
-        return final, DecompositionTrace(root=root)
+        return final, DecompositionTrace(root)
 
     # group blades by their heuristic slot, then cut by position parity
     slots0 = heuristic_solve(blades).assignment.slots0
     ordered_ids = (np.argsort(slots0) + 1).tolist()
     root = _build_tree(ordered_ids, config.max_subproblem)
-
-    trace = DecompositionTrace(root=root)
-    leaves = trace.leaves()
+    leaves = root.leaves()
     for k, leaf in enumerate(leaves):
-        ids0 = np.asarray(leaf.blades) - 1
-        group = BladeSet(masses[ids0], name=f"{blades.name or 'instance'}[group{k}]")
-        report, used, fb, attempts = _solve_valid(
-            config.sub_solver, config.sub_solver_params, group, DiskImbalance(), seed,
-            ("leaf", k),
-        )
-        vec = imbalance(group, DiskImbalance(), report.assignment).vector
-        mag = float(np.hypot(vec[0], vec[1]))
-        leaf.solver = used
-        leaf.report = report
-        leaf.fallback = fb
-        leaf.attempts = attempts
-        leaf.residual = (float(vec[0]), float(vec[1]))
-        leaf.residual_magnitude = mag
-        leaf.residual_angle = math.atan2(vec[1], vec[0]) % TWO_PI if mag > RESIDUAL_FLOOR else 0.0
+        group = BladeSet(masses[np.asarray(leaf.blades) - 1],
+                         name=f"{blades.name or 'instance'}[group{k}]")
+        _solve_leaf(leaf, group, DiskImbalance(), config, seed, ("leaf", k))
 
-    pseudo = [max(leaf.residual_magnitude, RESIDUAL_FLOOR) for leaf in leaves]
+    pseudo = tuple(max(leaf.residual_magnitude, RESIDUAL_FLOOR) for leaf in leaves)
     merge_blades = BladeSet(np.asarray(pseudo), name=f"{blades.name or 'instance'}[merge]")
     merge_report, merge_used, merge_fb, _ = _solve_valid(
-        config.merge_solver, config.merge_solver_params, merge_blades, disk, seed,
-        ("merge",),
+        config.merge_solver, config.merge_solver_params, merge_blades, disk, seed, ("merge",)
     )
-    trace.merge_solver = merge_used
-    trace.merge_report = merge_report
-    trace.pseudo_masses = tuple(pseudo)
-    trace.merge_fallback = merge_fb
+    trace = DecompositionTrace(root, merge_used, merge_report, pseudo, merge_fb)
 
     sigma0 = _realize(masses, disk, leaves, merge_report, n)
     iterations = sum(leaf.report.iterations for leaf in leaves) + merge_report.iterations

@@ -116,48 +116,23 @@ def heuristic_solve(blades: BladeSet) -> SolveReport:
     first, alternating with the lightest pair.
 
     Blades are sorted by mass (descending, ties by blade index); pairs are
-    taken alternately from the heavy and light end of that order. The k-th
-    pair occupies the lowest free slot and the slot opposite it (offset
-    floor(N/2) for odd N); the heavier partner takes the lower slot. An odd
-    leftover blade takes the last free slot. Deterministic, O(N log N), and
-    blind to the bare-disk imbalance, so the reported imbalance is evaluated
-    with a balanced disk.
+    taken alternately from the heavy and light end of that order. Pair k
+    occupies slot k and the slot opposite it, k + floor(N/2); the heavier
+    partner takes slot k. An odd leftover blade takes slot N - 1.
+    Deterministic, O(N log N), and blind to the bare-disk imbalance, so the
+    reported imbalance is evaluated with a balanced disk (the ``heuristic``
+    registry entry reports it on the instance's disk).
     """
     t0 = time.perf_counter()
-    n = blades.n
-    order = np.argsort(-blades.masses, kind="stable").tolist()
-    pairs = []
-    lo, hi = 0, n - 1
-    from_heavy = True
-    while hi - lo >= 1:
-        if from_heavy:
-            pairs.append((order[lo], order[lo + 1]))
-            lo += 2
-        else:
-            pairs.append((order[hi - 1], order[hi]))
-            hi -= 2
-        from_heavy = not from_heavy
-
-    sigma0 = [0] * n
-    used = [False] * n
-    free_from = 0
-    half = n // 2
-    for heavy, light in pairs:
-        while used[free_from]:
-            free_from += 1
-        s = free_from
-        t = (s + half) % n
-        sigma0[heavy] = s
-        sigma0[light] = t
-        used[s] = used[t] = True
-    if lo == hi:  # odd N: median blade takes the last free slot
-        while used[free_from]:
-            free_from += 1
-        sigma0[order[lo]] = free_from
-        used[free_from] = True
-
+    n, half = blades.n, blades.n // 2
+    order = np.argsort(-blades.masses, kind="stable")
+    k = np.arange(half)
+    heavier = np.where(k % 2 == 0, k, n - 1 - k)  # pair k's heavier blade, by position in order
+    sigma0 = np.full(n, n - 1)  # an odd leftover, the median blade, keeps slot N - 1
+    sigma0[order[heavier]] = k
+    sigma0[order[heavier + 1]] = k + half
     return SolveReport.of_assignment(
-        "heuristic", blades, DiskImbalance(), Assignment(np.asarray(sigma0) + 1), 0, t0, n
+        "heuristic", blades, DiskImbalance(), Assignment(sigma0 + 1), 0, t0, n
     )
 
 
@@ -472,7 +447,9 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
 
 
 def _run_heuristic(blades, disk, seed):
-    return heuristic_solve(blades)
+    t_start = time.perf_counter()
+    assignment = heuristic_solve(blades).assignment
+    return SolveReport.of_assignment("heuristic", blades, disk, assignment, 0, t_start, blades.n)
 
 
 def _run_imbalance_sa(blades, disk, seed, sweeps=None):
@@ -500,8 +477,9 @@ def _run_brute_force(blades, disk, seed):
     return brute_force_solve(blades, disk)
 
 
-#: Uniform entry points: fn(blades, disk, seed, **params) -> SolveReport. Each
-#: takes only its own solver's parameters; any other raises ``TypeError``.
+#: Uniform entry points: fn(blades, disk, seed, **params) -> SolveReport, whose
+#: imbalance is measured on ``disk``. Each takes only its own solver's
+#: parameters; any other raises ``TypeError``.
 SOLVERS = {
     "heuristic": _run_heuristic,
     "imbalance-sa": _run_imbalance_sa,

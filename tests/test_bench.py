@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,19 @@ def test_rerun_is_identical_modulo_wall_time():
 def test_unknown_solver_rejected_before_any_run():
     with pytest.raises(ValueError, match="annealer-9000"):
         iter_benchmark(_tiny_corpus(), ["heuristic", "annealer-9000"], repetitions=1)
+
+
+@pytest.mark.parametrize("solver, params, name", [
+    ("tabu", {"sweeps": 3}, "sweeps"),
+    ("decompose", {"sub_solver_params": {"sweepz": 3}}, "sweepz"),
+    ("decompose", {"max_subproblems": 3}, "max_subproblems"),
+])
+def test_misspelled_parameter_rejected_before_any_run(monkeypatch, solver, params, name):
+    # a typo is the caller's error, not an invalid solver output
+    monkeypatch.setattr(turbobalance.bench, "_execute_run", lambda task: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match=f"'{solver}'.*'{name}'"):
+        run_benchmark(_tiny_corpus(), ["heuristic", solver], repetitions=1,
+                      solver_params={solver: params})
 
 
 def test_run_seed_is_stable_and_distinguishes_runs():
@@ -153,6 +167,27 @@ def test_csv_uses_plain_decimal_and_empty_absent_fields(tmp_path):
     assert lines[0] == "instance,solver,repetition,seed,valid,imbalance,wall_time_ms,meets_threshold"
     assert lines[1] == "I,s,0,1,true,2.5,3.25,true"
     assert lines[2] == "I,s,1,2,false,,4.0,false"
+
+
+def test_records_csv_without_a_column_names_the_file_and_column(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text("instance,solver,repetition,valid,imbalance,wall_time_ms,meets_threshold\n"
+                    "I,s,0,true,2.5,3.25,true\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: no column 'seed'"):
+        read_records_csv(path)
+
+
+@pytest.mark.parametrize("row, column", [
+    ("I,s,zero,1,true,2.5,3.25,true", "repetition"),
+    ("I,s,0,1,yes,2.5,3.25,true", "valid"),
+    ("I,s,0,1,true,2.5", "wall_time_ms"),
+])
+def test_records_csv_bad_cell_names_the_file_line_and_column(tmp_path, row, column):
+    path = tmp_path / "runs.csv"
+    path.write_text("instance,solver,repetition,seed,valid,imbalance,wall_time_ms,meets_threshold\n"
+                    "I,s,0,1,true,2.5,3.25,true\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3, column '{column}'"):
+        read_records_csv(path)
 
 
 def test_json_exports_parse():

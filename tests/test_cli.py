@@ -5,6 +5,7 @@ import pytest
 from conftest import same_name_manifest
 from turbobalance import decode, generate
 from turbobalance.cli import main
+from turbobalance.datasets import write_manifest
 from turbobalance.solvers import SOLVERS
 
 
@@ -56,6 +57,20 @@ def test_solve_decompose_writes_trace(tmp_path, capsys):
     assert "tree" in doc and "merge" in doc
     report = json.loads(capsys.readouterr().out)
     assert report["valid"] is True
+
+
+def test_solve_heuristic_reports_the_imbalance_bench_records(tmp_path, capsys):
+    # the heuristic ignores the disk when it places; its reported imbalance must not
+    instance = generate("NORM", 20, seed=0, m0=500.0, phi0=1.0)
+    path = instance.save(tmp_path)
+    assert run_cli(["solve", str(path), "--solver", "heuristic"]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    out = tmp_path / "runs.json"
+    manifest = write_manifest(tmp_path, [instance.name])
+    assert run_cli(["bench", "--manifest", str(manifest), "--solvers", "heuristic",
+                    "--repetitions", "1", "--format", "json", "--out", str(out)]) == 0
+    (record,) = json.loads(out.read_text())
+    assert solved["imbalance"] == record["imbalance"]
 
 
 def test_bench_and_summarize_roundtrip(tmp_path):
@@ -247,6 +262,9 @@ def test_data_error_exits_two(tmp_path):
     assert run_cli(["summarize", str(tmp_path / "missing.csv")]) == 2
     assert run_cli(["bench", "--manifest", str(same_name_manifest(tmp_path)),
                     "--solvers", "heuristic", "--repetitions", "1"]) == 2
+    assert run_cli(["generate", "--out-dir", str(tmp_path)]) == 2  # no corpus, no family
+    (tmp_path / "short.csv").write_text("instance,solver,repetition\nI,s,0\n")
+    assert run_cli(["summarize", str(tmp_path / "short.csv")]) == 2
 
 
 def test_corpus_dir_env_override(tmp_path, monkeypatch):

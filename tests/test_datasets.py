@@ -54,6 +54,11 @@ def test_generate_rejects_tiny_n():
         generate("NORM", 1, seed=0)
 
 
+def test_generate_needs_n_for_a_family_without_a_fixed_size():
+    with pytest.raises(ValueError, match="explicit blade count"):
+        generate("NORM")
+
+
 def test_generate_rejects_unknown_family_and_size_mismatch():
     with pytest.raises(ValueError):
         generate("GAMMA", 10, seed=0)
@@ -124,6 +129,24 @@ def test_load_rejects_scale_violation(tmp_path):
         load_instance(path)
 
 
+def test_load_rejects_a_std_violation_that_keeps_the_mean(tmp_path):
+    doc = generate("NORM", 20, seed=1).to_dict()
+    low, high = int(np.argmin(doc["masses"])), int(np.argmax(doc["masses"]))
+    doc["masses"][low] -= 50.0  # widens the spread, leaves the sum as it was
+    doc["masses"][high] += 50.0
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceFormatError, match="scaling: std"):
+        load_instance(path)
+
+
+def test_load_rejects_a_top_level_array(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([generate("NORM", 5, seed=1).to_dict()]))
+    with pytest.raises(InstanceFormatError, match="JSON object at the top level"):
+        load_instance(path)
+
+
 @pytest.mark.parametrize("field, value", [
     ("masses", ["a", 2.0]),
     ("masses", [[1.0, 2.0], [3.0, 4.0]]),
@@ -132,6 +155,8 @@ def test_load_rejects_scale_violation(tmp_path):
     ("name", None),
     ("masses", [True, 2.0, 3.0]),
     ("name", ""),
+    ("masses", {}),
+    ("provenance", []),
 ])
 def test_malformed_field_is_a_format_error_naming_the_file(tmp_path, caplog, field, value):
     good, bad = generate("NORM", 5, seed=1), generate("BETA", 6, seed=2)

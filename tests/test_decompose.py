@@ -187,14 +187,6 @@ def test_trace_json_document():
     walk(doc["tree"])
 
 
-def test_trace_json_writes_file(tmp_path):
-    blades, disk = random_instance(np.random.default_rng(54), 8)
-    _, trace = decompose_solve(blades, disk, BRUTE, seed=2)
-    path = tmp_path / "trace.json"
-    trace.to_json(path)
-    assert json.loads(path.read_text())
-
-
 def test_trace_flags_inexact_equidistant_groups():
     rng = np.random.default_rng(56)
     even, disk = random_instance(rng, 12)  # 12 -> 6 -> 3: even splits only

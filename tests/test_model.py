@@ -185,3 +185,13 @@ def test_imbalance_result_norm_consistency():
 def test_imbalance_result_validates_vector_shape():
     with pytest.raises(ValueError):
         ImbalanceResult(1.0, np.zeros(3))
+
+
+def test_imbalance_result_rejects_a_d_that_is_not_the_norm():
+    with pytest.raises(ValueError, match="not the norm"):
+        ImbalanceResult(4.0, np.array([3.0, 4.0]))
+
+
+def test_slot_geometry_rejects_zero_slots():
+    with pytest.raises(ValueError, match="at least one slot"):
+        SlotGeometry(0)

@@ -199,6 +199,12 @@ def test_configuration_rejects_non_binary():
         BinaryConfiguration(np.array([0, 2, 1, 0]))
 
 
+@pytest.mark.parametrize("bits", [[], [[0, 1], [1, 0]]])
+def test_configuration_rejects_an_empty_or_2d_array(bits):
+    with pytest.raises(ValueError, match="non-empty 1-d"):
+        BinaryConfiguration(np.array(bits, dtype=np.int8))
+
+
 def test_all_zero_config_energy():
     blades, disk = BladeSet([3.0, 4.0]), DiskImbalance(2.0, 1.0)
     problem = build_qubo(blades, disk)
@@ -230,6 +236,12 @@ def test_energy_dimension_mismatch():
     problem = build_qubo(BladeSet([1.0, 2.0]), DiskImbalance())
     with pytest.raises(ValueError):
         qubo_energy(problem, [1, 0, 0, 1, 0, 0, 0, 0, 1])
+
+
+def test_evaluator_reset_rejects_the_wrong_bit_count():
+    evaluator = build_qubo(BladeSet([1.0, 2.0]), DiskImbalance(), materialize=False).evaluator()
+    with pytest.raises(ValueError, match="expected 4 bits, got 9"):
+        evaluator.reset(np.zeros(9, dtype=np.int8))
 
 
 def _enumerate_minimum(problem):
@@ -394,6 +406,19 @@ def test_export_header_and_roundtrip():
     for _ in range(20):
         x = rng.integers(0, 2, size=16).astype(float)
         assert rel_close(float(x @ matrix @ x), float(x @ problem.matrix @ x), 1e-9)
+
+
+def test_export_and_load_take_a_path_as_well_as_a_file(tmp_path):
+    problem = build_qubo(*random_instance(np.random.default_rng(30), 4, with_disk=True))
+    buffer = io.StringIO()
+    export_qubo(problem, buffer)
+    path = tmp_path / "q.txt"
+    export_qubo(problem, path)
+    assert path.read_text() == buffer.getvalue()
+    matrix, offset = load_qubo_export(path)
+    expected, expected_offset = load_qubo_export(io.StringIO(buffer.getvalue()))
+    assert np.array_equal(matrix, expected)
+    assert offset == expected_offset
 
 
 @pytest.mark.parametrize("text", [

@@ -58,6 +58,42 @@ def test_heuristic_mass_ties_break_by_blade_index():
     assert report.assignment.sigma.tolist() == [1, 3, 2, 4]
 
 
+def _lowest_free_slot_heuristic(masses):
+    """Reference: pairs taken alternately from the heavy and light ends of
+    the mass order; each pair scans for the lowest free slot, the heavier
+    partner takes it and the lighter the slot floor(N/2) further on; an odd
+    leftover takes the last free slot. Returns 0-based slots."""
+    n = len(masses)
+    order = np.argsort(-np.asarray(masses), kind="stable").tolist()
+    pairs, lo, hi = [], 0, n - 1
+    while hi - lo >= 1:
+        if len(pairs) % 2 == 0:
+            pairs.append((order[lo], order[lo + 1]))
+            lo += 2
+        else:
+            pairs.append((order[hi - 1], order[hi]))
+            hi -= 2
+    sigma0, used = [0] * n, [False] * n
+    for heavy, light in pairs:
+        s = used.index(False)
+        sigma0[heavy], sigma0[light] = s, (s + n // 2) % n
+        used[s] = used[(s + n // 2) % n] = True
+    if lo == hi:
+        sigma0[order[lo]] = used.index(False)
+    return sigma0
+
+
+@pytest.mark.parametrize("draw", ["normal", "integer"])
+def test_heuristic_equals_the_lowest_free_slot_scan(draw):
+    # after k pairs the taken slots are 0..k-1 and floor(N/2)..floor(N/2)+k-1,
+    # so the scan always finds slot k
+    rng = np.random.default_rng(3)
+    for n in range(1, 80):
+        masses = rng.normal(1e4, 100.0, n) if draw == "normal" else rng.integers(1, 4, n) + 0.0
+        slots0 = heuristic_solve(BladeSet(masses)).assignment.slots0
+        assert slots0.tolist() == _lowest_free_slot_heuristic(masses)
+
+
 def test_heuristic_is_deterministic():
     blades, _ = random_instance(np.random.default_rng(1), 23)
     first = heuristic_solve(blades)
