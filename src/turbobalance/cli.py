@@ -42,6 +42,20 @@ def _corpus_dir() -> Path:
     return Path(os.environ.get(ENV_CORPUS, "corpus"))
 
 
+def _add_solver_flags(parser, sweeps: dict) -> None:
+    """Add the solver flags: ``sweeps`` (flag -> help text), then the six
+    flags ``solve`` and ``bench`` share. Each defaults to None, so
+    :func:`_params` passes only the flags given."""
+    for flag, text in sweeps.items():
+        parser.add_argument(flag, type=int, default=None, help=text)
+    parser.add_argument("--penalty-factor", type=float, default=None)
+    parser.add_argument("--tenure", type=int, default=None)
+    parser.add_argument("--max-iterations", type=int, default=None)
+    parser.add_argument("--max-subproblem", type=int, default=None)
+    parser.add_argument("--sub-solver", default=None, choices=sorted(bench_mod.SOLVERS))
+    parser.add_argument("--merge-solver", default=None, choices=sorted(bench_mod.SOLVERS))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="turbobalance", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -64,14 +78,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("instance", type=Path)
     solve.add_argument("--solver", required=True, choices=sorted(bench_mod.BENCH_SOLVERS))
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--sweeps", type=int, default=None,
-                       help="annealing sweeps (imbalance-sa / qubo-sa)")
-    solve.add_argument("--penalty-factor", type=float, default=None)
-    solve.add_argument("--tenure", type=int, default=None)
-    solve.add_argument("--max-iterations", type=int, default=None)
-    solve.add_argument("--max-subproblem", type=int, default=None)
-    solve.add_argument("--sub-solver", default=None, choices=sorted(bench_mod.SOLVERS))
-    solve.add_argument("--merge-solver", default=None, choices=sorted(bench_mod.SOLVERS))
+    _add_solver_flags(solve, {"--sweeps": "annealing sweeps (imbalance-sa / qubo-sa)"})
     solve.add_argument("--trace", type=Path, default=None,
                        help="write the decomposition trace JSON here")
     solve.add_argument("--output", type=Path, default=None, help="report file (default: stdout)")
@@ -88,14 +95,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--out", type=Path, default=None, help="records file (default: stdout)")
     run.add_argument("--summary", type=Path, default=None, help="also write summary here")
-    run.add_argument("--sa-sweeps", type=int, default=None)
-    run.add_argument("--qubo-sweeps", type=int, default=None)
-    run.add_argument("--penalty-factor", type=float, default=None)
-    run.add_argument("--tenure", type=int, default=None)
-    run.add_argument("--max-iterations", type=int, default=None)
-    run.add_argument("--max-subproblem", type=int, default=None)
-    run.add_argument("--sub-solver", default=None, choices=sorted(bench_mod.SOLVERS))
-    run.add_argument("--merge-solver", default=None, choices=sorted(bench_mod.SOLVERS))
+    _add_solver_flags(run, {"--sa-sweeps": None, "--qubo-sweeps": None})
 
     summ = sub.add_parser("summarize", help="summarize a records CSV")
     summ.add_argument("records", type=Path)
@@ -269,6 +269,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bench":
+        for dest in ("repetitions", "jobs"):
+            if getattr(args, dest) < 1:
+                parser.error(f"--{dest} must be at least 1, got {getattr(args, dest)}")
     try:
         if args.command in ("solve", "bench"):
             solvers = [args.solver] if args.command == "solve" else args.solvers

@@ -33,7 +33,7 @@ from .model import (
     derive_seed,
     imbalance,
 )
-from .solvers import SolveReport, get_solver, heuristic_solve, keyword_parameters
+from .solvers import BRUTE_FORCE_LIMIT, SolveReport, get_solver, heuristic_solve, keyword_parameters
 
 #: Pseudo-mass given to a perfectly balanced group so the merge problem stays
 #: well-formed; placement of such a group is irrelevant to the objective.
@@ -48,7 +48,8 @@ class DecompositionConfig:
 
     ``sub_solver`` runs on every group of at most ``max_subproblem`` blades;
     ``merge_solver`` runs on the residual-balancing problem (one pseudo-blade
-    per group, so it can be larger than the cap). ``sub_solver_params`` and
+    per group, so it can be larger than the cap). A brute-force sub-solver
+    needs a cap of at most ``BRUTE_FORCE_LIMIT``. ``sub_solver_params`` and
     ``merge_solver_params`` may hold only parameters of that solver's
     registry entry.
     """
@@ -62,6 +63,10 @@ class DecompositionConfig:
     def __post_init__(self):
         if int(self.max_subproblem) < 2:
             raise ValueError(f"max_subproblem must be >= 2, got {self.max_subproblem}")
+        if self.sub_solver == "brute-force" and int(self.max_subproblem) > BRUTE_FORCE_LIMIT:
+            raise ValueError(f"sub_solver 'brute-force' is capped at N={BRUTE_FORCE_LIMIT}, "
+                             f"so 'max_subproblem' must be at most {BRUTE_FORCE_LIMIT}, "
+                             f"got {self.max_subproblem}")
         for role in ("sub_solver", "merge_solver"):
             name = getattr(self, role)
             accepted = keyword_parameters(get_solver(name))
@@ -146,8 +151,8 @@ class DecompositionTrace:
         return doc
 
     def to_json(self) -> str:
-        """The trace document as indented JSON text, without a final newline."""
-        return json.dumps(self.to_dict(), indent=2)
+        """The trace document as indented JSON text, ending in a newline."""
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def split(order):

@@ -45,9 +45,7 @@ class SolveReport:
 
     ``valid`` is true iff ``assignment`` is a permutation iff ``imbalance``
     is present. Invalid outcomes keep the raw bits in ``configuration`` so
-    violation types can be counted downstream. ``best_history`` is the
-    incumbent-objective trace, populated only when the solver was asked to
-    record it.
+    violation types can be counted downstream.
     """
 
     solver_name: str
@@ -58,15 +56,13 @@ class SolveReport:
     wall_time: float
     iterations: int
     configuration: BinaryConfiguration | None = None
-    best_history: list | None = None
 
     @classmethod
     def of_assignment(cls, solver_name, blades, disk, assignment, seed, t_start, iterations,
-                      **extra) -> "SolveReport":
+                      configuration=None) -> "SolveReport":
         """Valid report of ``assignment``: d recomputed exactly on ``blades``
         and ``disk``, wall time measured from ``t_start`` (a
-        ``time.perf_counter()`` reading) to now. ``extra`` sets the optional
-        fields (``configuration``, ``best_history``)."""
+        ``time.perf_counter()`` reading) to now."""
         return cls(
             solver_name=solver_name,
             valid=True,
@@ -75,17 +71,18 @@ class SolveReport:
             seed=seed,
             wall_time=time.perf_counter() - t_start,
             iterations=iterations,
-            **extra,
+            configuration=configuration,
         )
 
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Geometric cooling schedule: sweep k runs at t_initial * alpha**k."""
+    """Geometric cooling from ``t_initial`` to ``t_final`` over ``sweeps``
+    sweeps: sweep k runs at t_initial * alpha**k, where alpha is the ratio
+    that lands the last sweep on ``t_final``."""
 
     t_initial: float
     t_final: float
-    alpha: float
     sweeps: int
 
     def __post_init__(self):
@@ -95,20 +92,13 @@ class AnnealSchedule:
             raise ValueError(
                 f"t_final must be below t_initial, got {self.t_final} >= {self.t_initial}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if int(self.sweeps) < 1:
             raise ValueError("need at least one sweep")
         object.__setattr__(self, "sweeps", int(self.sweeps))
 
-    @classmethod
-    def geometric(cls, t_initial: float, t_final: float, sweeps: int) -> "AnnealSchedule":
-        """Schedule whose last sweep lands exactly on ``t_final``."""
-        alpha = (t_final / t_initial) ** (1.0 / max(sweeps - 1, 1))
-        return cls(t_initial, t_final, alpha, sweeps)
-
     def temperatures(self) -> np.ndarray:
-        return self.t_initial * self.alpha ** np.arange(self.sweeps)
+        alpha = (self.t_final / self.t_initial) ** (1.0 / max(self.sweeps - 1, 1))
+        return self.t_initial * alpha ** np.arange(self.sweeps)
 
 
 def heuristic_solve(blades: BladeSet) -> SolveReport:
@@ -154,7 +144,7 @@ def default_imbalance_schedule(
     d_start = imbalance(blades, disk, start).d
     spread = float(blades.masses.max() - blades.masses.min())
     t_initial = max((2.0 * spread + d_start) ** 2, 1e-12)
-    return AnnealSchedule.geometric(t_initial, 1e-8 * t_initial, sweeps)
+    return AnnealSchedule(t_initial, 1e-8 * t_initial, sweeps)
 
 
 def swap_delta(masses, zx, zy, sigma0, ux, uy, a, b):
@@ -189,7 +179,6 @@ def imbalance_sa_solve(
     disk: DiskImbalance,
     schedule: AnnealSchedule | None = None,
     seed: int = 0,
-    record_best: bool = False,
     start: Assignment | None = None,
 ) -> SolveReport:
     """Simulated annealing directly in permutation space.
@@ -210,8 +199,7 @@ def imbalance_sa_solve(
     n = blades.n
     if n < 2:
         return SolveReport.of_assignment(
-            "imbalance-sa", blades, disk, Assignment.identity(n), seed, t_start, 0,
-            best_history=[] if record_best else None,
+            "imbalance-sa", blades, disk, Assignment.identity(n), seed, t_start, 0
         )
     if start is None:
         start = heuristic_solve(blades).assignment
@@ -232,7 +220,6 @@ def imbalance_sa_solve(
 
     best_d2 = d2
     best_sigma = sigma.copy()
-    history = [d2] if record_best else None
     exp = math.exp
 
     draws = _swap_draws(rng, n, schedule.sweeps)
@@ -252,22 +239,20 @@ def imbalance_sa_solve(
                 if d2 < best_d2:
                     best_d2 = d2
                     best_sigma = sigma.copy()
-                    if record_best:
-                        history.append(d2)
 
     return SolveReport.of_assignment(
         "imbalance-sa", blades, disk, Assignment(np.asarray(best_sigma) + 1), seed, t_start,
-        schedule.sweeps * n, best_history=history,
+        schedule.sweeps * n,
     )
 
 
 def default_qubo_schedule(problem: QuboProblem, sweeps: int = 500) -> AnnealSchedule:
     """Penalty-scaled schedule for QUBO annealing (cools by 1e-8 overall)."""
     t_initial = float(problem.lambda1.max() + problem.lambda2)
-    return AnnealSchedule.geometric(t_initial, 1e-8 * t_initial, sweeps)
+    return AnnealSchedule(t_initial, 1e-8 * t_initial, sweeps)
 
 
-def _report_from_bits(problem, bits, undo, solver_name, seed, t_start, iterations, history=None):
+def _report_from_bits(problem, bits, undo, solver_name, seed, t_start, iterations):
     """Report of the search's incumbent: ``bits`` (a list or array, changed
     in place) with the flips in ``undo`` reverted, latest first, then
     decoded."""
@@ -278,7 +263,7 @@ def _report_from_bits(problem, bits, undo, solver_name, seed, t_start, iteration
     if isinstance(decoded, Assignment):
         return SolveReport.of_assignment(
             solver_name, problem.blades, problem.disk, decoded, seed, t_start, iterations,
-            configuration=config, best_history=history,
+            configuration=config,
         )
     return SolveReport(
         solver_name=solver_name,
@@ -289,7 +274,6 @@ def _report_from_bits(problem, bits, undo, solver_name, seed, t_start, iteration
         wall_time=time.perf_counter() - t_start,
         iterations=iterations,
         configuration=config,
-        best_history=history,
     )
 
 
@@ -297,7 +281,6 @@ def qubo_sa_solve(
     problem: QuboProblem,
     schedule: AnnealSchedule | None = None,
     seed: int = 0,
-    record_best: bool = False,
 ) -> SolveReport:
     """Single-bit-flip Metropolis annealing over the N^2 binary variables.
 
@@ -313,11 +296,9 @@ def qubo_sa_solve(
     ev = problem.evaluator()
     ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
 
-    offset = problem.constant_offset
     best_energy = ev.energy()
     flip_log = []
     best_pos = 0
-    history = [best_energy + offset] if record_best else None
     exp = math.exp
 
     for t in schedule.temperatures().tolist():
@@ -333,12 +314,10 @@ def qubo_sa_solve(
                 if energy < best_energy:
                     best_energy = energy
                     best_pos = len(flip_log)
-                    if record_best:
-                        history.append(energy + offset)
 
     return _report_from_bits(
         problem, ev.bits(), flip_log[best_pos:], "qubo-sa", seed, t_start,
-        schedule.sweeps * dim, history,
+        schedule.sweeps * dim,
     )
 
 
@@ -458,17 +437,14 @@ def _run_imbalance_sa(blades, disk, seed, sweeps=None):
     return imbalance_sa_solve(blades, disk, schedule=schedule, seed=seed, start=start)
 
 
-def _run_qubo_sa(blades, disk, seed, sweeps=None, penalty_factor=None):
-    if penalty_factor is None:
-        penalty_factor = DEFAULT_PENALTY_FACTOR
+def _run_qubo_sa(blades, disk, seed, sweeps=None, penalty_factor=DEFAULT_PENALTY_FACTOR):
     problem = build_qubo(blades, disk, penalty_factor=penalty_factor, materialize=False)
     schedule = None if sweeps is None else default_qubo_schedule(problem, sweeps)
     return qubo_sa_solve(problem, schedule=schedule, seed=seed)
 
 
-def _run_tabu(blades, disk, seed, tenure=None, max_iterations=None, penalty_factor=None):
-    if penalty_factor is None:
-        penalty_factor = DEFAULT_PENALTY_FACTOR
+def _run_tabu(blades, disk, seed, tenure=None, max_iterations=None,
+              penalty_factor=DEFAULT_PENALTY_FACTOR):
     problem = build_qubo(blades, disk, penalty_factor=penalty_factor, materialize=False)
     return tabu_solve(problem, tenure=tenure, max_iterations=max_iterations, seed=seed)
 

@@ -74,6 +74,7 @@ def test_unknown_solver_rejected_before_any_run():
     ("tabu", {"sweeps": 3}, "sweeps"),
     ("decompose", {"sub_solver_params": {"sweepz": 3}}, "sweepz"),
     ("decompose", {"max_subproblems": 3}, "max_subproblems"),
+    ("decompose", {"sub_solver": "brute-force", "max_subproblem": 12}, "max_subproblem"),
 ])
 def test_misspelled_parameter_rejected_before_any_run(monkeypatch, solver, params, name):
     # a typo is the caller's error, not an invalid solver output

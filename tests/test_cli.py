@@ -53,7 +53,9 @@ def test_solve_decompose_writes_trace(tmp_path, capsys):
                     "--sub-solver", "brute-force", "--merge-solver", "brute-force",
                     "--trace", str(trace_path)])
     assert code == 0
-    doc = json.loads(trace_path.read_text())
+    text = trace_path.read_text()
+    assert text.endswith("}\n")
+    doc = json.loads(text)
     assert "tree" in doc and "merge" in doc
     report = json.loads(capsys.readouterr().out)
     assert report["valid"] is True
@@ -249,10 +251,20 @@ def test_bench_qubo_sweeps_reach_decompose_leaves(tmp_path):
     assert records["1"]["imbalance"] != records["400"]["imbalance"]
 
 
-def test_usage_error_exits_one():
+def test_usage_error_exits_one(tmp_path, capsys):
     assert run_cli(["solve", "x.json", "--solver", "warp-drive"]) == 1
     assert run_cli(["no-such-command"]) == 1
     assert run_cli([]) == 1
+    generate("NORM", 5, seed=0).save(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"instances": [{"name": "NORM5_0000", "file": "NORM5_0000.json"}]}))
+    out = tmp_path / "runs.csv"
+    for flag, value in (("--repetitions", "0"), ("--jobs", "-4")):
+        capsys.readouterr()
+        assert run_cli(["bench", "--manifest", str(manifest), "--solvers", "heuristic", flag, value,
+                        "--out", str(out), "--summary", str(tmp_path / "s.csv")]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_data_error_exits_two(tmp_path):

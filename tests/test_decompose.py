@@ -209,6 +209,8 @@ def test_config_validation():
         DecompositionConfig(sub_solver="nope")
     with pytest.raises(ValueError):
         DecompositionConfig(merge_solver="nope")
+    with pytest.raises(ValueError, match="N=10.*got 11"):
+        DecompositionConfig(max_subproblem=11, sub_solver="brute-force")
 
 
 @pytest.mark.parametrize("config, name", [

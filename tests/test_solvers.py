@@ -113,17 +113,15 @@ def test_heuristic_large_instance_is_fast():
 
 def test_anneal_schedule_validation():
     with pytest.raises(ValueError):
-        AnnealSchedule(1.0, 2.0, 0.5, 10)  # t_final above t_initial
+        AnnealSchedule(1.0, 2.0, 10)  # t_final above t_initial
     with pytest.raises(ValueError):
-        AnnealSchedule(1.0, 0.5, 1.5, 10)  # alpha outside (0, 1)
+        AnnealSchedule(0.0, 0.0, 10)
     with pytest.raises(ValueError):
-        AnnealSchedule(0.0, 0.0, 0.5, 10)
-    with pytest.raises(ValueError):
-        AnnealSchedule(1.0, 0.5, 0.9, 0)
+        AnnealSchedule(1.0, 0.5, 0)
 
 
 def test_anneal_schedule_geometric_endpoints():
-    schedule = AnnealSchedule.geometric(100.0, 1.0, 50)
+    schedule = AnnealSchedule(100.0, 1.0, 50)
     temps = schedule.temperatures()
     assert len(temps) == 50
     assert temps[0] == pytest.approx(100.0)
@@ -132,7 +130,7 @@ def test_anneal_schedule_geometric_endpoints():
 
 
 def test_imbalance_sa_two_equal_masses_single_sweep():
-    schedule = AnnealSchedule.geometric(1.0, 0.5, 1)
+    schedule = AnnealSchedule(1.0, 0.5, 1)
     report = imbalance_sa_solve(BladeSet([5.0, 5.0]), DiskImbalance(), schedule, seed=0)
     assert report.valid
     assert report.imbalance <= 1e-9
@@ -224,15 +222,6 @@ def test_imbalance_sa_rejects_a_start_of_the_wrong_size():
         imbalance_sa_solve(blades, disk, start=Assignment.identity(8))
 
 
-def test_imbalance_sa_best_history_is_monotone():
-    blades, disk = random_instance(np.random.default_rng(4), 15, with_disk=True)
-    report = imbalance_sa_solve(blades, disk, seed=5, record_best=True)
-    history = report.best_history
-    assert history, "expected a recorded incumbent trace"
-    assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
-    assert rel_close(math.sqrt(history[-1]), report.imbalance, 1e-9)
-
-
 def test_swap_delta_matches_full_recomputation():
     rng = np.random.default_rng(44)
     checked = 0
@@ -299,7 +288,7 @@ def test_qubo_sa_reports_validity_honestly():
     for k in range(20):
         blades, disk = random_instance(rng, 6, with_disk=True)
         problem = build_qubo(blades, disk, materialize=False)
-        schedule = AnnealSchedule.geometric(1.0, 0.5, 1)  # far too cold and short
+        schedule = AnnealSchedule(1.0, 0.5, 1)  # far too cold and short
         report = qubo_sa_solve(problem, schedule, seed=k)
         decoded = decode(report.configuration)
         assert report.valid == isinstance(decoded, Assignment)
@@ -326,15 +315,6 @@ def test_qubo_sa_on_a_materialized_problem_gives_valid_reports():
     free = qubo_sa_solve(build_qubo(blades, disk, materialize=False), seed=3)
     assert np.array_equal(report.configuration.bits, free.configuration.bits)
     assert report.imbalance == free.imbalance
-
-
-def test_qubo_sa_best_history_is_monotone():
-    blades, disk = random_instance(np.random.default_rng(11), 5, with_disk=True)
-    problem = build_qubo(blades, disk, materialize=False)
-    report = qubo_sa_solve(problem, seed=6, record_best=True)
-    history = report.best_history
-    assert history
-    assert all(b <= a + 1e-6 for a, b in zip(history, history[1:]))
 
 
 # Fixed-seed qubo-sa outputs on a 20-sweep schedule, as packed bits
