@@ -42,15 +42,26 @@ def _corpus_dir() -> Path:
     return Path(os.environ.get(ENV_CORPUS, "corpus"))
 
 
+def _count(text: str) -> int:
+    """Type of the count flags (sweeps, tenure, iterations, repetitions,
+    jobs): an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+
+
 def _add_solver_flags(parser, sweeps: dict) -> None:
     """Add the solver flags: ``sweeps`` (flag -> help text), then the six
     flags ``solve`` and ``bench`` share. Each defaults to None, so
     :func:`_params` passes only the flags given."""
     for flag, text in sweeps.items():
-        parser.add_argument(flag, type=int, default=None, help=text)
+        parser.add_argument(flag, type=_count, default=None, help=text)
     parser.add_argument("--penalty-factor", type=float, default=None)
-    parser.add_argument("--tenure", type=int, default=None)
-    parser.add_argument("--max-iterations", type=int, default=None)
+    parser.add_argument("--tenure", type=_count, default=None)
+    parser.add_argument("--max-iterations", type=_count, default=None)
     parser.add_argument("--max-subproblem", type=int, default=None)
     parser.add_argument("--sub-solver", default=None, choices=sorted(bench_mod.SOLVERS))
     parser.add_argument("--merge-solver", default=None, choices=sorted(bench_mod.SOLVERS))
@@ -74,7 +85,10 @@ def _build_parser() -> _Parser:
     gen.add_argument("--m0", type=float, default=0.0)
     gen.add_argument("--phi0", type=float, default=0.0)
 
+    # each subcommand's parser stays on the parsed args, so errors found after
+    # parsing print that subcommand's usage line
     solve = sub.add_parser("solve", help="run one solver on one instance")
+    solve.set_defaults(parser=solve)
     solve.add_argument("instance", type=Path)
     solve.add_argument("--solver", required=True, choices=sorted(bench_mod.BENCH_SOLVERS))
     solve.add_argument("--seed", type=int, default=0)
@@ -84,14 +98,15 @@ def _build_parser() -> _Parser:
     solve.add_argument("--output", type=Path, default=None, help="report file (default: stdout)")
 
     run = sub.add_parser("bench", help="run solvers over a corpus manifest")
+    run.set_defaults(parser=run)
     run.add_argument("--manifest", type=Path, default=None,
                      help="corpus manifest (default: <corpus dir>/manifest.json)")
     run.add_argument("--solvers", default="heuristic,imbalance-sa",
                      type=lambda text: [name.strip() for name in text.split(",") if name.strip()],
                      help="comma-separated solver names")
-    run.add_argument("--repetitions", type=int, default=10)
+    run.add_argument("--repetitions", type=_count, default=10)
     run.add_argument("--base-seed", type=int, default=0)
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=_count, default=1)
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--out", type=Path, default=None, help="records file (default: stdout)")
     run.add_argument("--summary", type=Path, default=None, help="also write summary here")
@@ -269,16 +284,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench":
-        for dest in ("repetitions", "jobs"):
-            if getattr(args, dest) < 1:
-                parser.error(f"--{dest} must be at least 1, got {getattr(args, dest)}")
     try:
         if args.command in ("solve", "bench"):
             solvers = [args.solver] if args.command == "solve" else args.solvers
             flag = _unused_flag(args, solvers)
             if flag is not None:
-                parser.error(f"{flag} is not used by solver {', '.join(map(repr, solvers))}")
+                args.parser.error(f"{flag} is not used by solver {', '.join(map(repr, solvers))}")
         return _COMMANDS[args.command](args)
     except (InstanceFormatError, ValueError, OSError) as err:
         print(f"turbobalance: error: {err}", file=sys.stderr)

@@ -165,7 +165,8 @@ def split(order):
 
 def _solve_valid(solver_name, params, blades, disk, seed, key, first_seed=None):
     """Run a solver, retrying invalid outputs with fresh seeds, then falling
-    back to the heuristic. Returns (report, solver_used, fallback, attempts)."""
+    back to the heuristic placement, reported on ``disk``. Returns (report,
+    solver_used, fallback, attempts)."""
     fn = get_solver(solver_name)
     for attempt in range(1 + _MAX_RETRIES):
         if attempt == 0 and first_seed is not None:
@@ -174,7 +175,11 @@ def _solve_valid(solver_name, params, blades, disk, seed, key, first_seed=None):
             report = fn(blades, disk, derive_seed(seed, *key, attempt), **params)
         if report.valid:
             return report, solver_name, False, attempt + 1
-    return heuristic_solve(blades), "heuristic", True, 2 + _MAX_RETRIES
+    t_start = time.perf_counter()
+    report = SolveReport.of_assignment(
+        "heuristic", blades, disk, heuristic_solve(blades), 0, t_start, blades.n
+    )
+    return report, "heuristic", True, 2 + _MAX_RETRIES
 
 
 def _solve_leaf(leaf, group, disk, config, seed, key, first_seed=None):
@@ -292,7 +297,9 @@ def decompose_solve(
     When the instance already fits under the cap no split happens: the root
     is the one leaf, solved on ``disk`` with its first attempt run on
     ``seed`` itself, so the result is the sub-solver's answer on the full
-    problem and the two calls are interchangeable.
+    problem and the two calls are interchangeable. Otherwise a brute-force
+    merge solver that cannot take the tree's leaf count raises
+    ``ValueError`` before any leaf is solved.
     """
     t_start = time.perf_counter()
     if config is None:
@@ -311,10 +318,13 @@ def decompose_solve(
         return final, DecompositionTrace(root)
 
     # group blades by their heuristic slot, then cut by position parity
-    slots0 = heuristic_solve(blades).assignment.slots0
-    ordered_ids = (np.argsort(slots0) + 1).tolist()
+    ordered_ids = (np.argsort(heuristic_solve(blades).slots0) + 1).tolist()
     root = _build_tree(ordered_ids, config.max_subproblem)
     leaves = root.leaves()
+    if config.merge_solver == "brute-force" and len(leaves) > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"merge_solver 'brute-force' is capped at N={BRUTE_FORCE_LIMIT}, "
+                         f"but {n} blades at max_subproblem {config.max_subproblem} "
+                         f"make {len(leaves)} groups to merge")
     for k, leaf in enumerate(leaves):
         group = BladeSet(masses[np.asarray(leaf.blades) - 1],
                          name=f"{blades.name or 'instance'}[group{k}]")

@@ -95,7 +95,6 @@ class QuboProblem:
     constant_offset: float
     blades: BladeSet
     disk: DiskImbalance
-    penalty_factor: float
 
     def __post_init__(self):
         lam = np.asarray(self.lambda1, dtype=float)
@@ -242,7 +241,6 @@ def build_qubo(
         constant_offset=offset,
         blades=blades,
         disk=disk,
-        penalty_factor=penalty_factor,
     )
 
 

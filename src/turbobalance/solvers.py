@@ -2,13 +2,16 @@
 annealing, QUBO-space simulated annealing, tabu search, and an exact
 brute-force oracle.
 
-Every solver returns a :class:`SolveReport`. Permutation-space solvers are
-valid by construction; QUBO-space solvers may end on a configuration that
-violates the one-hot constraints, in which case the report carries the raw
-bits and ``valid=False``. Validity is always established by independently
-decoding the output, never by trusting the search. All randomness is local
-to the call (seeded ``numpy`` generators), so identical inputs and seed give
-identical reports apart from wall time.
+The heuristic is a placement rule: :func:`heuristic_solve` returns the
+:class:`~turbobalance.model.Assignment` it builds, which also starts
+imbalance-sa. Every other solver, and every :data:`SOLVERS` entry (the
+heuristic's included), returns a :class:`SolveReport`. Permutation-space
+solvers are valid by construction; QUBO-space solvers may end on a
+configuration that violates the one-hot constraints, in which case the
+report carries the raw bits and ``valid=False``. Validity is always
+established by independently decoding the output, never by trusting the
+search. All randomness is local to the call (seeded ``numpy`` generators),
+so identical inputs and seed give identical reports apart from wall time.
 """
 
 from __future__ import annotations
@@ -101,19 +104,18 @@ class AnnealSchedule:
         return self.t_initial * alpha ** np.arange(self.sweeps)
 
 
-def heuristic_solve(blades: BladeSet) -> SolveReport:
+def heuristic_solve(blades: BladeSet) -> Assignment:
     """Industrial placement rule: fill opposite slot pairs, heaviest pair
-    first, alternating with the lightest pair.
+    first, alternating with the lightest pair; returns the placement.
 
     Blades are sorted by mass (descending, ties by blade index); pairs are
     taken alternately from the heavy and light end of that order. Pair k
     occupies slot k and the slot opposite it, k + floor(N/2); the heavier
     partner takes slot k. An odd leftover blade takes slot N - 1.
-    Deterministic, O(N log N), and blind to the bare-disk imbalance, so the
-    reported imbalance is evaluated with a balanced disk (the ``heuristic``
-    registry entry reports it on the instance's disk).
+    Deterministic, O(N log N), and blind to the bare-disk imbalance; the
+    ``heuristic`` registry entry reports the placement's imbalance on the
+    instance's disk.
     """
-    t0 = time.perf_counter()
     n, half = blades.n, blades.n // 2
     order = np.argsort(-blades.masses, kind="stable")
     k = np.arange(half)
@@ -121,9 +123,7 @@ def heuristic_solve(blades: BladeSet) -> SolveReport:
     sigma0 = np.full(n, n - 1)  # an odd leftover, the median blade, keeps slot N - 1
     sigma0[order[heavier]] = k
     sigma0[order[heavier + 1]] = k + half
-    return SolveReport.of_assignment(
-        "heuristic", blades, DiskImbalance(), Assignment(sigma0 + 1), 0, t0, n
-    )
+    return Assignment(sigma0 + 1)
 
 
 def default_imbalance_schedule(
@@ -140,7 +140,7 @@ def default_imbalance_schedule(
     ``start`` is the walk's first placement (default: the heuristic's).
     """
     if start is None:
-        start = heuristic_solve(blades).assignment
+        start = heuristic_solve(blades)
     d_start = imbalance(blades, disk, start).d
     spread = float(blades.masses.max() - blades.masses.min())
     t_initial = max((2.0 * spread + d_start) ** 2, 1e-12)
@@ -202,7 +202,7 @@ def imbalance_sa_solve(
             "imbalance-sa", blades, disk, Assignment.identity(n), seed, t_start, 0
         )
     if start is None:
-        start = heuristic_solve(blades).assignment
+        start = heuristic_solve(blades)
     if start.n != n:
         raise ValueError(f"start places {start.n} blades, instance has {n}")
     if schedule is None:
@@ -427,12 +427,13 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
 
 def _run_heuristic(blades, disk, seed):
     t_start = time.perf_counter()
-    assignment = heuristic_solve(blades).assignment
-    return SolveReport.of_assignment("heuristic", blades, disk, assignment, 0, t_start, blades.n)
+    return SolveReport.of_assignment(
+        "heuristic", blades, disk, heuristic_solve(blades), 0, t_start, blades.n
+    )
 
 
 def _run_imbalance_sa(blades, disk, seed, sweeps=None):
-    start = heuristic_solve(blades).assignment
+    start = heuristic_solve(blades)
     schedule = None if sweeps is None else default_imbalance_schedule(blades, disk, sweeps, start)
     return imbalance_sa_solve(blades, disk, schedule=schedule, seed=seed, start=start)
 

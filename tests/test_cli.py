@@ -263,8 +263,45 @@ def test_usage_error_exits_one(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(["bench", "--manifest", str(manifest), "--solvers", "heuristic", flag, value,
                         "--out", str(out), "--summary", str(tmp_path / "s.csv")]) == 1
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        assert err.startswith("usage: turbobalance bench [-h]")
         assert not out.exists()
+    # an unused flag is found after parsing, and still prints the subcommand's usage
+    assert run_cli(["bench", "--manifest", str(manifest), "--solvers", "heuristic",
+                    "--tenure", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage: turbobalance bench [-h]")
+    assert not out.exists()
+    assert run_cli(["solve", str(tmp_path / "NORM5_0000.json"), "--solver", "heuristic",
+                    "--sweeps", "5"]) == 1
+    assert capsys.readouterr().err.startswith("usage: turbobalance solve [-h]")
+
+
+@pytest.mark.parametrize("command, solver, flag, value", [
+    ("bench", "tabu", "--tenure", "0"),
+    ("bench", "tabu", "--max-iterations", "-1"),
+    ("bench", "imbalance-sa", "--sa-sweeps", "0"),
+    ("bench", "qubo-sa", "--qubo-sweeps", "0"),
+    ("bench", "heuristic", "--jobs", "two"),
+    ("solve", "tabu", "--tenure", "0"),
+    ("solve", "imbalance-sa", "--sweeps", "0"),
+])
+def test_count_flag_below_one_exits_one_before_any_output(tmp_path, capsys, command, solver,
+                                                          flag, value):
+    generate("NORM", 5, seed=0).save(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"instances": [{"name": "NORM5_0000", "file": "NORM5_0000.json"}]}))
+    out = tmp_path / "out.txt"
+    if command == "bench":
+        argv = ["bench", "--manifest", str(manifest), "--solvers", solver, "--repetitions", "1",
+                "--out", str(out)]
+    else:
+        argv = ["solve", str(tmp_path / "NORM5_0000.json"), "--solver", solver, "--output", str(out)]
+    assert run_cli([*argv, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: turbobalance {command} [-h]")
+    assert f"argument {flag}: must be an integer of at least 1" in err
+    assert not out.exists()
 
 
 def test_data_error_exits_two(tmp_path):

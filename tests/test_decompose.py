@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, rel_close
 from turbobalance import (
     BladeSet,
     DecompositionConfig,
@@ -94,7 +94,7 @@ def test_majority_experiment_composed_beats_heuristic():
         m0 = float(rng.uniform(0, 500)) if k % 2 else 0.0
         disk = DiskImbalance(m0, float(rng.uniform(0, 2 * np.pi)))
         report, _ = decompose_solve(blades, disk, BRUTE, seed=k)
-        heuristic_d = imbalance(blades, disk, heuristic_solve(blades).assignment).d
+        heuristic_d = imbalance(blades, disk, heuristic_solve(blades)).d
         wins += report.imbalance <= heuristic_d
     assert wins >= 95
 
@@ -222,6 +222,52 @@ def test_config_validation():
 def test_config_rejects_a_parameter_its_solver_does_not_take(config, name):
     with pytest.raises(ValueError, match=f"'{name}'"):
         DecompositionConfig(**config)
+
+
+def test_oversized_brute_force_merge_is_refused_before_any_leaf(monkeypatch):
+    leaf_calls = []
+    brute_force = SOLVERS["brute-force"]
+
+    def counting(blades, disk, seed):
+        leaf_calls.append(seed)
+        return brute_force(blades, disk, seed)
+
+    monkeypatch.setitem(SOLVERS, "counting", counting)
+    blades, disk = random_instance(np.random.default_rng(57), 40, with_disk=True)
+    capped = DecompositionConfig(max_subproblem=3, sub_solver="counting", merge_solver="brute-force")
+    with pytest.raises(ValueError, match=r"N=10\b.*\b16\b"):  # 40 -> 20 -> 10 -> 5 -> 3 and 2
+        decompose_solve(blades, disk, capped, seed=0)
+    assert leaf_calls == []
+
+    config = DecompositionConfig(max_subproblem=5, sub_solver="counting", merge_solver="brute-force")
+    report, trace = decompose_solve(blades, disk, config, seed=0)
+    assert report.valid
+    assert len(leaf_calls) == 8
+    assert trace.merge_solver == "brute-force" and not trace.merge_fallback
+
+
+#: (N, leaves at cap 5, merge solver): the two standard-corpus sizes above
+#: 40 blades, and N = 40, whose 8 groups brute force can also merge. At
+#: N = 84 and 86, _realize places some groups blade by blade.
+GATE_CASES = [(40, 8, "imbalance-sa"), (40, 8, "brute-force"), (84, 20, "imbalance-sa"),
+              (86, 22, "imbalance-sa")]
+
+
+@pytest.mark.parametrize("with_disk", [False, True])
+@pytest.mark.parametrize("n, leaves, merge_solver", GATE_CASES)
+def test_decomposition_is_exactly_accounted_at_production_blade_counts(
+        n, leaves, merge_solver, with_disk):
+    blades, disk = random_instance(np.random.default_rng(n), n, with_disk=with_disk)
+    config = DecompositionConfig(max_subproblem=5, sub_solver="brute-force",
+                                 merge_solver=merge_solver)
+    report, trace = decompose_solve(blades, disk, config, seed=11)
+    assert report.valid
+    assert rel_close(report.imbalance, imbalance(blades, disk, report.assignment).d, 1e-9)
+    assert sorted(b for leaf in trace.leaves() for b in leaf.blades) == list(range(1, n + 1))
+    assert all(len(leaf.blades) <= 5 for leaf in trace.leaves())
+    assert len(trace.leaves()) == leaves
+    again, _ = decompose_solve(blades, disk, config, seed=11)
+    assert again.assignment == report.assignment
 
 
 def test_decompose_rejects_single_blade():
