@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import InstanceFormatError, load_instance, load_manifest
-from .decompose import DecompositionConfig, decompose_solve
+from .decompose import DecompositionConfig, check_merge_size, decompose_solve
 from .model import derive_seed
 from .solvers import SOLVERS, get_solver, keyword_parameters
 
@@ -126,8 +126,9 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
     """Yield one RunRecord per scheduled run, in schedule order.
 
     ``instances`` is a list of (name, BladeSet, DiskImbalance). Unknown
-    solver names, and parameters (``solver_params[solver]``) that a solver
-    does not take, raise ``ValueError`` before anything runs. With ``jobs``
+    solver names, parameters (``solver_params[solver]``) that a solver does
+    not take, and a decompose brute-force merge too small for an instance's
+    groups raise ``ValueError`` before anything runs. With ``jobs``
     > 1 the runs execute in a process pool; the record order stays
     deterministic.
     """
@@ -141,7 +142,9 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
                                  f"it takes {accepted}")
         if solver == "decompose":  # checks its sub- and merge-solver parameters too
             try:
-                DecompositionConfig(**given)
+                config = DecompositionConfig(**given)
+                for _name, blades, _disk in instances:
+                    check_merge_size(blades.n, config)
             except ValueError as err:
                 raise ValueError(f"solver 'decompose': {err}") from None
     tasks = [

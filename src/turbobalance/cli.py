@@ -15,13 +15,14 @@ import itertools
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import bench as bench_mod
 from . import datasets
 from .datasets import InstanceFormatError, load_instance
 from .decompose import DecompositionConfig, decompose_solve
-from .qubo import DEFAULT_PENALTY_FACTOR, build_qubo, decode, export_qubo
+from .qubo import DEFAULT_PENALTY_FACTOR, build_qubo, check_penalty_factor, decode, export_qubo
 
 ENV_CORPUS = "TURBOBALANCE_CORPUS"
 
@@ -59,7 +60,7 @@ def _add_solver_flags(parser, sweeps: dict) -> None:
     :func:`_params` passes only the flags given."""
     for flag, text in sweeps.items():
         parser.add_argument(flag, type=_count, default=None, help=text)
-    parser.add_argument("--penalty-factor", type=float, default=None)
+    parser.add_argument("--penalty-factor", type=check_penalty_factor, default=None)
     parser.add_argument("--tenure", type=_count, default=None)
     parser.add_argument("--max-iterations", type=_count, default=None)
     parser.add_argument("--max-subproblem", type=int, default=None)
@@ -119,7 +120,8 @@ def _build_parser() -> _Parser:
 
     export = sub.add_parser("export-qubo", help="write an instance's QUBO in sparse text form")
     export.add_argument("instance", type=Path)
-    export.add_argument("--penalty-factor", type=float, default=DEFAULT_PENALTY_FACTOR)
+    export.add_argument("--penalty-factor", type=check_penalty_factor,
+                        default=DEFAULT_PENALTY_FACTOR)
     export.add_argument("--out", type=Path, default=None, help="target file (default: stdout)")
 
     return parser
@@ -206,16 +208,16 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _report_dict(name: str, report) -> dict:
+def _report_dict(name: str, solver: str, seed: int, report, wall_time: float) -> dict:
     out = {
         "instance": name,
-        "solver": report.solver_name,
-        "seed": report.seed,
+        "solver": solver,
+        "seed": seed,
         "valid": report.valid,
         "imbalance": report.imbalance,
         "assignment": report.assignment.sigma.tolist() if report.valid else None,
         "iterations": report.iterations,
-        "wall_time_ms": report.wall_time * 1e3,
+        "wall_time_ms": wall_time * 1e3,
     }
     if not report.valid and report.configuration is not None:
         # how far the output is from one-hot: rows / columns with popcount != 1
@@ -229,15 +231,18 @@ def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     blades, disk = instance.blade_set(), instance.disk()
     params, _ = _params(args, args.solver)
+    t_start = time.perf_counter()
     if args.solver == "decompose":
         report, trace = decompose_solve(blades, disk, DecompositionConfig(**params), args.seed)
-        if args.trace is not None:
-            with _output(args.trace) as fh:
-                fh.write(trace.to_json())
     else:
         report = bench_mod.BENCH_SOLVERS[args.solver](blades, disk, args.seed, **params)
+    wall_time = time.perf_counter() - t_start
+    if args.trace is not None:  # only decompose takes --trace
+        with _output(args.trace) as fh:
+            fh.write(trace.to_json())
+    doc = _report_dict(instance.name, args.solver, args.seed, report, wall_time)
     with _output(args.output) as fh:
-        fh.write(json.dumps(_report_dict(instance.name, report), indent=2) + "\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,10 +174,7 @@ def _solve_valid(solver_name, params, blades, disk, seed, key, first_seed=None):
             report = fn(blades, disk, derive_seed(seed, *key, attempt), **params)
         if report.valid:
             return report, solver_name, False, attempt + 1
-    t_start = time.perf_counter()
-    report = SolveReport.of_assignment(
-        "heuristic", blades, disk, heuristic_solve(blades), 0, t_start, blades.n
-    )
+    report = SolveReport.of_assignment(blades, disk, heuristic_solve(blades), blades.n)
     return report, "heuristic", True, 2 + _MAX_RETRIES
 
 
@@ -194,6 +190,26 @@ def _solve_leaf(leaf, group, disk, config, seed, key, first_seed=None):
     leaf.residual = (float(vec[0]), float(vec[1]))
     leaf.residual_magnitude = mag
     leaf.residual_angle = math.atan2(vec[1], vec[0]) % TWO_PI if mag > RESIDUAL_FLOOR else 0.0
+
+
+def check_merge_size(n: int, config: DecompositionConfig) -> None:
+    """``ValueError`` if ``config`` merges with brute force and ``n`` blades
+    make more groups than it takes. The count depends only on ``n`` and the
+    cap: a group above the cap splits, as :func:`split` cuts it, into halves
+    of ceil(size / 2) and floor(size / 2) blades."""
+    if config.merge_solver != "brute-force":
+        return
+
+    def groups(size):
+        if size <= config.max_subproblem:
+            return 1
+        return groups((size + 1) // 2) + groups(size // 2)
+
+    count = groups(n)
+    if count > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"merge_solver 'brute-force' is capped at N={BRUTE_FORCE_LIMIT}, "
+                         f"but {n} blades at max_subproblem {config.max_subproblem} "
+                         f"make {count} groups to merge")
 
 
 def _build_tree(ids, cap, exact=True) -> TraceNode:
@@ -299,32 +315,27 @@ def decompose_solve(
     ``seed`` itself, so the result is the sub-solver's answer on the full
     problem and the two calls are interchangeable. Otherwise a brute-force
     merge solver that cannot take the tree's leaf count raises
-    ``ValueError`` before any leaf is solved.
+    ``ValueError`` (:func:`check_merge_size`) before any leaf is solved.
     """
-    t_start = time.perf_counter()
     if config is None:
         config = DecompositionConfig()
     n = blades.n
     if n < 2:
         raise ValueError(f"decomposition needs at least 2 blades, got {n}")
+    check_merge_size(n, config)
     masses = blades.masses
 
     if n <= config.max_subproblem:
         root = TraceNode(blades=tuple(range(1, n + 1)), rotation=0.0)
         _solve_leaf(root, blades, disk, config, seed, ("root",), first_seed=seed)
-        final = SolveReport.of_assignment(
-            "decompose", blades, disk, root.report.assignment, seed, t_start, root.report.iterations
-        )
+        final = SolveReport.of_assignment(blades, disk, root.report.assignment,
+                                          root.report.iterations)
         return final, DecompositionTrace(root)
 
     # group blades by their heuristic slot, then cut by position parity
     ordered_ids = (np.argsort(heuristic_solve(blades).slots0) + 1).tolist()
     root = _build_tree(ordered_ids, config.max_subproblem)
     leaves = root.leaves()
-    if config.merge_solver == "brute-force" and len(leaves) > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"merge_solver 'brute-force' is capped at N={BRUTE_FORCE_LIMIT}, "
-                         f"but {n} blades at max_subproblem {config.max_subproblem} "
-                         f"make {len(leaves)} groups to merge")
     for k, leaf in enumerate(leaves):
         group = BladeSet(masses[np.asarray(leaf.blades) - 1],
                          name=f"{blades.name or 'instance'}[group{k}]")
@@ -339,7 +350,4 @@ def decompose_solve(
 
     sigma0 = _realize(masses, disk, leaves, merge_report, n)
     iterations = sum(leaf.report.iterations for leaf in leaves) + merge_report.iterations
-    final = SolveReport.of_assignment(
-        "decompose", blades, disk, Assignment(sigma0 + 1), seed, t_start, iterations
-    )
-    return final, trace
+    return SolveReport.of_assignment(blades, disk, Assignment(sigma0 + 1), iterations), trace

@@ -135,6 +135,18 @@ def min_penalties(blades: BladeSet, disk: DiskImbalance):
     return bounds, float(bounds.max())
 
 
+def check_penalty_factor(value) -> float:
+    """``value`` (a number or its text) as a float, if it is finite and above
+    1; ``ValueError`` otherwise. The penalty weights are this factor times
+    their strict lower bounds, so a factor of at most 1 breaks the bounds, and
+    an infinite or NaN one makes the weights infinite or NaN."""
+    factor = float(value)
+    if not (math.isfinite(factor) and factor > 1.0):
+        raise ValueError(f"penalty_factor must be finite and > 1 so the weights stay above "
+                         f"their bounds, got {factor}")
+    return factor
+
+
 def objective_matrix_termwise(blades: BladeSet, disk: DiskImbalance) -> np.ndarray:
     """Objective matrix assembled term by term.
 
@@ -200,8 +212,8 @@ def build_qubo(
     The objective part comes from the outer-product form: with q the 2 x N^2
     matrix whose column (i, j) is m_i * z_j, the matrix is
     q^T q + 2 diag(y^T q). Penalties are ``penalty_factor`` times the strict
-    lower bounds from :func:`min_penalties`; the factor must exceed 1 or the
-    bounds would be violated.
+    lower bounds from :func:`min_penalties`; :func:`check_penalty_factor`
+    rejects a factor that is not finite and above 1.
 
     With ``materialize=False`` no dense matrix is allocated; the problem can
     still be solved through its implicit evaluator. With ``materialize=True``
@@ -211,11 +223,7 @@ def build_qubo(
     + lambda2 (1 - 2), the expanded squares (sum_j x_ij - 1)^2 and
     (sum_i x_ij - 1)^2 on x^2 = x.
     """
-    penalty_factor = float(penalty_factor)
-    if penalty_factor <= 1.0:
-        raise ValueError(
-            f"penalty_factor must be > 1 so the weights stay above their bounds, got {penalty_factor}"
-        )
+    penalty_factor = check_penalty_factor(penalty_factor)
     n = blades.n
     bounds, bound2 = min_penalties(blades, disk)
     lambda1 = penalty_factor * bounds

@@ -10,8 +10,10 @@ solvers are valid by construction; QUBO-space solvers may end on a
 configuration that violates the one-hot constraints, in which case the
 report carries the raw bits and ``valid=False``. Validity is always
 established by independently decoding the output, never by trusting the
-search. All randomness is local to the call (seeded ``numpy`` generators),
-so identical inputs and seed give identical reports apart from wall time.
+search. A report holds only what the search found; the caller already knows
+the solver, the seed and how long the call took. All randomness is local to
+the call (seeded ``numpy`` generators), so identical inputs and seed give
+identical reports.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,38 +45,27 @@ IMBALANCE_SA_BLOCK_MOVES = 2048
 
 @dataclass
 class SolveReport:
-    """Outcome of one solver run.
+    """What one solver run found.
 
     ``valid`` is true iff ``assignment`` is a permutation iff ``imbalance``
     is present. Invalid outcomes keep the raw bits in ``configuration`` so
-    violation types can be counted downstream.
+    violation types can be counted downstream. The solver's name, its seed
+    and the run's wall time are the caller's to record.
     """
 
-    solver_name: str
     valid: bool
     assignment: Assignment | None
     imbalance: float | None
-    seed: int
-    wall_time: float
     iterations: int
     configuration: BinaryConfiguration | None = None
 
     @classmethod
-    def of_assignment(cls, solver_name, blades, disk, assignment, seed, t_start, iterations,
+    def of_assignment(cls, blades, disk, assignment, iterations,
                       configuration=None) -> "SolveReport":
         """Valid report of ``assignment``: d recomputed exactly on ``blades``
-        and ``disk``, wall time measured from ``t_start`` (a
-        ``time.perf_counter()`` reading) to now."""
-        return cls(
-            solver_name=solver_name,
-            valid=True,
-            assignment=assignment,
-            imbalance=imbalance(blades, disk, assignment).d,
-            seed=seed,
-            wall_time=time.perf_counter() - t_start,
-            iterations=iterations,
-            configuration=configuration,
-        )
+        and ``disk``."""
+        return cls(True, assignment, imbalance(blades, disk, assignment).d, iterations,
+                   configuration)
 
 
 @dataclass(frozen=True)
@@ -195,12 +185,9 @@ def imbalance_sa_solve(
     ``max(1, IMBALANCE_SA_BLOCK_MOVES // N)`` sweeps (the last one may be
     shorter), so the block size is part of what a seed reproduces.
     """
-    t_start = time.perf_counter()
     n = blades.n
     if n < 2:
-        return SolveReport.of_assignment(
-            "imbalance-sa", blades, disk, Assignment.identity(n), seed, t_start, 0
-        )
+        return SolveReport.of_assignment(blades, disk, Assignment.identity(n), 0)
     if start is None:
         start = heuristic_solve(blades)
     if start.n != n:
@@ -241,8 +228,7 @@ def imbalance_sa_solve(
                     best_sigma = sigma.copy()
 
     return SolveReport.of_assignment(
-        "imbalance-sa", blades, disk, Assignment(np.asarray(best_sigma) + 1), seed, t_start,
-        schedule.sweeps * n,
+        blades, disk, Assignment(np.asarray(best_sigma) + 1), schedule.sweeps * n
     )
 
 
@@ -252,7 +238,7 @@ def default_qubo_schedule(problem: QuboProblem, sweeps: int = 500) -> AnnealSche
     return AnnealSchedule(t_initial, 1e-8 * t_initial, sweeps)
 
 
-def _report_from_bits(problem, bits, undo, solver_name, seed, t_start, iterations):
+def _report_from_bits(problem, bits, undo, iterations):
     """Report of the search's incumbent: ``bits`` (a list or array, changed
     in place) with the flips in ``undo`` reverted, latest first, then
     decoded."""
@@ -262,19 +248,9 @@ def _report_from_bits(problem, bits, undo, solver_name, seed, t_start, iteration
     decoded = decode(config)
     if isinstance(decoded, Assignment):
         return SolveReport.of_assignment(
-            solver_name, problem.blades, problem.disk, decoded, seed, t_start, iterations,
-            configuration=config,
+            problem.blades, problem.disk, decoded, iterations, configuration=config
         )
-    return SolveReport(
-        solver_name=solver_name,
-        valid=False,
-        assignment=None,
-        imbalance=None,
-        seed=seed,
-        wall_time=time.perf_counter() - t_start,
-        iterations=iterations,
-        configuration=config,
-    )
+    return SolveReport(False, None, None, iterations, configuration=config)
 
 
 def qubo_sa_solve(
@@ -288,7 +264,6 @@ def qubo_sa_solve(
     geometric between sweeps. The lowest-energy configuration seen is decoded
     and reported honestly: it may violate the one-hot constraints.
     """
-    t_start = time.perf_counter()
     if schedule is None:
         schedule = default_qubo_schedule(problem)
     dim = problem.dimension
@@ -315,10 +290,7 @@ def qubo_sa_solve(
                     best_energy = energy
                     best_pos = len(flip_log)
 
-    return _report_from_bits(
-        problem, ev.bits(), flip_log[best_pos:], "qubo-sa", seed, t_start,
-        schedule.sweeps * dim,
-    )
+    return _report_from_bits(problem, ev.bits(), flip_log[best_pos:], schedule.sweeps * dim)
 
 
 def tabu_solve(
@@ -342,7 +314,6 @@ def tabu_solve(
     assignment of ``+inf`` masks every tabu move. Nothing is sized by
     ``tenure`` alone.
     """
-    t_start = time.perf_counter()
     dim = problem.dimension
     if tenure is None:
         tenure = 10 + problem.n
@@ -384,9 +355,7 @@ def tabu_solve(
             best_energy = energy
             best_pos = len(flip_log)
 
-    return _report_from_bits(
-        problem, ev.bits(), flip_log[best_pos:], "tabu", seed, t_start, max_iterations
-    )
+    return _report_from_bits(problem, ev.bits(), flip_log[best_pos:], max_iterations)
 
 
 def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
@@ -395,7 +364,6 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
     Guarded at N <= 10 (10! is ~3.6M evaluations); meant as the oracle for
     tests and small instances, not as a production solver.
     """
-    t_start = time.perf_counter()
     n = blades.n
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is capped at N={BRUTE_FORCE_LIMIT}, got N={n}")
@@ -420,16 +388,11 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
             best_sigma0 = chunk[i]
         count += len(chunk)
 
-    return SolveReport.of_assignment(
-        "brute-force", blades, disk, Assignment(np.asarray(best_sigma0) + 1), 0, t_start, count
-    )
+    return SolveReport.of_assignment(blades, disk, Assignment(np.asarray(best_sigma0) + 1), count)
 
 
 def _run_heuristic(blades, disk, seed):
-    t_start = time.perf_counter()
-    return SolveReport.of_assignment(
-        "heuristic", blades, disk, heuristic_solve(blades), 0, t_start, blades.n
-    )
+    return SolveReport.of_assignment(blades, disk, heuristic_solve(blades), blades.n)
 
 
 def _run_imbalance_sa(blades, disk, seed, sweeps=None):

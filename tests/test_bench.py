@@ -25,6 +25,7 @@ from turbobalance.bench import (
     to_json,
     write_csv,
 )
+from turbobalance.solvers import SOLVERS
 
 
 def _tiny_corpus(sizes=(5, 6), with_disk=True):
@@ -218,6 +219,24 @@ def test_load_corpus_skips_unreadable_instances(tmp_path, caplog):
         corpus = load_corpus(manifest)
     assert len(corpus) == 8
     assert any("BETA20_0000" in message for message in caplog.text.splitlines())
+
+
+def test_oversized_brute_force_merge_is_refused_before_any_run(monkeypatch):
+    calls = []
+    brute_force = SOLVERS["brute-force"]
+
+    def counting(blades, disk, seed):
+        calls.append(seed)
+        return brute_force(blades, disk, seed)
+
+    monkeypatch.setitem(SOLVERS, "counting", counting)
+    rng = np.random.default_rng(57)
+    corpus = [("T5", *random_instance(rng, 5)), ("T40", *random_instance(rng, 40))]
+    params = {"decompose": {"max_subproblem": 3, "sub_solver": "counting",
+                            "merge_solver": "brute-force"}}
+    with pytest.raises(ValueError, match=r"'decompose'.*N=10\b.*\b16\b"):  # 40 blades, 16 groups
+        iter_benchmark(corpus, ["decompose"], repetitions=1, solver_params=params)
+    assert calls == []
 
 
 def test_crashing_run_still_yields_a_record(caplog):

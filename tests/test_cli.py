@@ -4,6 +4,7 @@ import pytest
 
 from conftest import same_name_manifest
 from turbobalance import decode, generate
+from turbobalance.bench import BENCH_SOLVERS
 from turbobalance.cli import main
 from turbobalance.datasets import write_manifest
 from turbobalance.solvers import SOLVERS
@@ -145,8 +146,53 @@ def test_solve_rejects_zero_penalty_factor(tmp_path, capsys):
     generate("NORM", 4, seed=2).save(tmp_path)
     code = run_cli(["solve", str(tmp_path / "NORM4_0000.json"), "--solver", "tabu",
                     "--penalty-factor", "0"])
-    assert code == 2
+    assert code == 1
     assert "penalty_factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, solver, value", [
+    ("bench", "qubo-sa", "1"),
+    ("bench", "tabu", "nan"),
+    ("solve", "qubo-sa", "inf"),
+    ("export-qubo", None, "1"),
+])
+def test_penalty_factor_not_finite_above_one_exits_one_before_any_output(tmp_path, capsys,
+                                                                         command, solver, value):
+    path = generate("NORM", 5, seed=0).save(tmp_path)
+    manifest = write_manifest(tmp_path, ["NORM5_0000"])
+    out = tmp_path / "out.txt"
+    argv = {
+        "bench": ["bench", "--manifest", str(manifest), "--solvers", solver,
+                  "--repetitions", "1", "--out", str(out)],
+        "solve": ["solve", str(path), "--solver", solver, "--output", str(out)],
+        "export-qubo": ["export-qubo", str(path), "--out", str(out)],
+    }[command]
+    assert run_cli([*argv, "--penalty-factor", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: turbobalance {command} [-h]")
+    assert "argument --penalty-factor" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", sorted(BENCH_SOLVERS))
+def test_solve_json_names_the_chosen_solver_and_seed(tmp_path, capsys, solver):
+    path = generate("NORM", 6, seed=2).save(tmp_path)
+    assert run_cli(["solve", str(path), "--solver", solver, "--seed", "7"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["solver"] == solver
+    assert report["seed"] == 7
+
+
+def test_bench_refuses_an_oversized_brute_force_merge_before_any_output(tmp_path, capsys):
+    generate("BETA", 40, seed=0).save(tmp_path)
+    manifest = write_manifest(tmp_path, ["BETA40_0000"])
+    out = tmp_path / "runs.csv"
+    code = run_cli(["bench", "--manifest", str(manifest), "--solvers", "decompose",
+                    "--merge-solver", "brute-force", "--sub-solver", "imbalance-sa",
+                    "--max-subproblem", "3", "--repetitions", "1", "--out", str(out)])
+    assert code == 2
+    assert "16 groups" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_reports_violation_counts_of_an_invalid_output(tmp_path, capsys):

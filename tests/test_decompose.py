@@ -155,7 +155,7 @@ def test_leaf_and_merge_attempts_derive_the_golden_seeds(monkeypatch, seed, n):
 
     def failing(blades, disk, seed):
         seeds.append(seed)
-        return SolveReport("failing", False, None, None, seed, 0.0, 0)
+        return SolveReport(False, None, None, 0)
 
     monkeypatch.setitem(SOLVERS, "qubo-sa", failing)
     monkeypatch.setitem(SOLVERS, "tabu", failing)

@@ -51,9 +51,9 @@ def test_applied_weights_are_ten_times_the_bounds():
     assert problem.lambda2 > column_bound
 
 
-@pytest.mark.parametrize("factor", [1.0, 0.5, -2.0])
+@pytest.mark.parametrize("factor", [1.0, 0.5, -2.0, float("nan"), float("inf")])
 def test_build_rejects_penalty_factor_at_or_below_one(factor):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="penalty_factor"):
         build_qubo(BladeSet([1.0]), DiskImbalance(), penalty_factor=factor)
 
 

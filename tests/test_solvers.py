@@ -177,7 +177,6 @@ def test_imbalance_sa_seed_determinism():
     assert a.assignment == b.assignment
     assert a.imbalance == b.imbalance
     assert a.iterations == b.iterations
-    assert a.seed == b.seed
 
 
 # Fixed-seed outputs of the block-drawn random stream. A change to how or in
