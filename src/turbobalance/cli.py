@@ -54,13 +54,22 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
 
 
+def _penalty_factor(text: str) -> float:
+    """Type of the ``--penalty-factor`` flags: :func:`check_penalty_factor`,
+    whose ``ValueError`` argparse would print only as the function's name."""
+    try:
+        return check_penalty_factor(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _add_solver_flags(parser, sweeps: dict) -> None:
     """Add the solver flags: ``sweeps`` (flag -> help text), then the six
     flags ``solve`` and ``bench`` share. Each defaults to None, so
     :func:`_params` passes only the flags given."""
     for flag, text in sweeps.items():
         parser.add_argument(flag, type=_count, default=None, help=text)
-    parser.add_argument("--penalty-factor", type=check_penalty_factor, default=None)
+    parser.add_argument("--penalty-factor", type=_penalty_factor, default=None)
     parser.add_argument("--tenure", type=_count, default=None)
     parser.add_argument("--max-iterations", type=_count, default=None)
     parser.add_argument("--max-subproblem", type=int, default=None)
@@ -120,7 +129,7 @@ def _build_parser() -> _Parser:
 
     export = sub.add_parser("export-qubo", help="write an instance's QUBO in sparse text form")
     export.add_argument("instance", type=Path)
-    export.add_argument("--penalty-factor", type=check_penalty_factor,
+    export.add_argument("--penalty-factor", type=_penalty_factor,
                         default=DEFAULT_PENALTY_FACTOR)
     export.add_argument("--out", type=Path, default=None, help="target file (default: stdout)")
 

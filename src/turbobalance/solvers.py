@@ -38,8 +38,8 @@ BRUTE_FORCE_LIMIT = 10
 #: permutations brute force evaluates per numpy batch
 BRUTE_FORCE_BATCH = 20000
 #: moves per block of random draws in imbalance-sa; part of its seed contract.
-#: A block's draws take about 0.2 MiB as Python lists, and the fixed cost of
-#: the three generator calls per block is about 1.5% of the block's moves.
+#: A block's draws and thresholds take about 0.14 MiB, and the fixed cost of
+#: drawing a block is about 30 us, some 5% of the time its moves take.
 IMBALANCE_SA_BLOCK_MOVES = 2048
 
 
@@ -151,17 +151,19 @@ def swap_delta(masses, zx, zy, sigma0, ux, uy, a, b):
     return nx * nx + ny * ny - (ux * ux + uy * uy)
 
 
-def _swap_draws(rng, n, sweeps):
-    """Per sweep: the n moves' first blades, second blades (distinct from
-    the first) and acceptance uniforms, as lists. Drawn a block of sweeps at
-    a time; only one block is held at once."""
+def _swap_draws(rng, n, temperatures):
+    """Per block of sweeps, as three flat lists: every move's first blade, its
+    second (distinct from the first) and its acceptance threshold -t*log(u),
+    t being its sweep's temperature. Only one block is held at once."""
     block = max(1, IMBALANCE_SA_BLOCK_MOVES // n)
-    for done in range(0, sweeps, block):
-        rows = min(block, sweeps - done)
-        first = rng.integers(0, n, size=(rows, n))
-        second = rng.integers(0, n - 1, size=(rows, n))
+    for done in range(0, len(temperatures), block):
+        t = temperatures[done:done + block, None]
+        first = rng.integers(0, n, size=(len(t), n))
+        second = rng.integers(0, n - 1, size=(len(t), n))
         second += second >= first  # uniform over distinct pairs
-        yield from zip(first.tolist(), second.tolist(), rng.random((rows, n)).tolist())
+        with np.errstate(divide="ignore"):  # u = 0 gives an infinite threshold
+            threshold = -t * np.log(rng.random((len(t), n)))
+        yield first.ravel().tolist(), second.ravel().tolist(), threshold.ravel().tolist()
 
 
 def imbalance_sa_solve(
@@ -176,14 +178,15 @@ def imbalance_sa_solve(
     The state is always a permutation (start: ``start``, by default the
     heuristic placement; move: swap the slots of two distinct uniformly
     random blades), so every output is valid by construction. Acceptance is
-    Metropolis on the change of d^2, evaluated incrementally through the
-    running residual vector. The best visited permutation is returned.
+    Metropolis on the change of d^2, from the running residual vector, in one
+    comparison: delta < -t*log(u), a positive threshold, so no move that
+    keeps or lowers d^2 is refused. The best visited permutation is returned.
 
     Random numbers are drawn per block of sweeps: three generator calls of
     shape (sweeps in block, N) give the first blade, the second blade and
-    the acceptance uniform of every move in the block. A block holds
-    ``max(1, IMBALANCE_SA_BLOCK_MOVES // N)`` sweeps (the last one may be
-    shorter), so the block size is part of what a seed reproduces.
+    the uniform u (hence the threshold) of every move in the block. A block
+    holds ``max(1, IMBALANCE_SA_BLOCK_MOVES // N)`` sweeps (the last one may
+    be shorter), so the block size is part of what a seed reproduces.
     """
     n = blades.n
     if n < 2:
@@ -207,19 +210,16 @@ def imbalance_sa_solve(
 
     best_d2 = d2
     best_sigma = sigma.copy()
-    exp = math.exp
 
-    draws = _swap_draws(rng, n, schedule.sweeps)
-    for t, (first, second, unif) in zip(schedule.temperatures().tolist(), draws):
-        for a, b, u in zip(first, second, unif):
+    for first, second, threshold in _swap_draws(rng, n, schedule.temperatures()):
+        for a, b, th in zip(first, second, threshold):
             sa = sigma[a]
             sb = sigma[b]
             dm = m[a] - m[b]
             nx = ux + dm * (zx[sb] - zx[sa])
             ny = uy + dm * (zy[sb] - zy[sa])
             nd2 = nx * nx + ny * ny
-            delta = nd2 - d2
-            if delta <= 0.0 or u < exp(-delta / t):
+            if nd2 - d2 < th:
                 sigma[a] = sb
                 sigma[b] = sa
                 ux, uy, d2 = nx, ny, nd2
@@ -261,7 +261,9 @@ def qubo_sa_solve(
     """Single-bit-flip Metropolis annealing over the N^2 binary variables.
 
     Each sweep visits every bit once in a fresh random order; temperature is
-    geometric between sweeps. The lowest-energy configuration seen is decoded
+    geometric between sweeps, and a flip is accepted iff its energy change is
+    below -t*log(u), the rule of imbalance-sa, with each sweep's thresholds
+    drawn with its order. The lowest-energy configuration seen is decoded
     and reported honestly: it may violate the one-hot constraints.
     """
     if schedule is None:
@@ -274,15 +276,13 @@ def qubo_sa_solve(
     best_energy = ev.energy()
     flip_log = []
     best_pos = 0
-    exp = math.exp
 
     for t in schedule.temperatures().tolist():
         order = rng.permutation(dim).tolist()
-        unif = rng.random(dim).tolist()
-        for k in range(dim):
-            a = order[k]
-            delta = ev.flip_delta(a)
-            if delta <= 0.0 or unif[k] < exp(-delta / t):
+        with np.errstate(divide="ignore"):  # u = 0 gives an infinite threshold
+            threshold = (-t * np.log(rng.random(dim))).tolist()
+        for a, th in zip(order, threshold):
+            if ev.flip_delta(a) < th:
                 ev.flip(a)
                 energy = ev.energy()
                 flip_log.append(a)

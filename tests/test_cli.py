@@ -147,7 +147,7 @@ def test_solve_rejects_zero_penalty_factor(tmp_path, capsys):
     code = run_cli(["solve", str(tmp_path / "NORM4_0000.json"), "--solver", "tabu",
                     "--penalty-factor", "0"])
     assert code == 1
-    assert "penalty_factor" in capsys.readouterr().err
+    assert "finite and > 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, solver, value", [
@@ -170,7 +170,7 @@ def test_penalty_factor_not_finite_above_one_exits_one_before_any_output(tmp_pat
     assert run_cli([*argv, "--penalty-factor", value]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage: turbobalance {command} [-h]")
-    assert "argument --penalty-factor" in err
+    assert "argument --penalty-factor: penalty_factor must be finite and > 1" in err
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +209,67 @@ def test_imbalance_sa_golden_stream(n, instance_seed, sweeps, seed, sigma, d):
     assert via_registry.assignment == report.assignment
 
 
+# recorded under the exp(-delta / t) acceptance rule: the threshold rule
+# delta < -t*log(u) reproduces them
+QUBO_SA_GOLDEN = [
+    # n, instance seed, sweeps, seed, valid, repr(imbalance), sha256 of the bits
+    (4, 71, 30, 0, True, "122.21248241186059", "d16e6715d3876a86"),
+    (5, 72, 40, 2, True, "95.46689943222681", "cca7997d04680901"),
+    (7, 73, 60, 1, False, "None", "6f67cc0a137e69a4"),
+]
+
+
+@pytest.mark.parametrize("n, instance_seed, sweeps, seed, valid, d, bits_hash", QUBO_SA_GOLDEN)
+def test_qubo_sa_golden_records(n, instance_seed, sweeps, seed, valid, d, bits_hash):
+    blades, disk = random_instance(np.random.default_rng(instance_seed), n, with_disk=True)
+    problem = build_qubo(blades, disk, materialize=False)
+    report = qubo_sa_solve(problem, schedule=default_qubo_schedule(problem, sweeps), seed=seed)
+    assert report.valid is valid
+    assert repr(report.imbalance) == d
+    bits = report.configuration.bits.astype(np.int8).tobytes()
+    assert hashlib.sha256(bits).hexdigest()[:16] == bits_hash
+
+
+def test_acceptance_thresholds_are_positive_at_the_coldest_schedule():
+    # equal masses: d_start = spread = 0, so t_initial sits on its 1e-12 floor
+    blades, disk = BladeSet([3.0] * 8), DiskImbalance()
+    schedule = default_imbalance_schedule(blades, disk, sweeps=300)
+    t_final = schedule.temperatures()[-1]
+    assert t_final == pytest.approx(1e-20)
+    # the largest uniform below 1 gives the smallest threshold
+    assert -t_final * np.log(np.nextafter(1.0, 0.0)) > 0.0
+    draws = solvers._swap_draws(np.random.default_rng(0), 8, np.full(schedule.sweeps, t_final))
+    assert min(min(threshold) for _, _, threshold in draws) > 0.0  # a zero delta is accepted
+
+
+class _SomeZeroUniforms:
+    """A seeded generator whose uniforms are 0 at every seventh draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))  # default_rng, unpatched
+        self.integers, self.permutation = self._rng.integers, self._rng.permutation
+
+    def random(self, size):
+        u = self._rng.random(size)
+        u.flat[::7] = 0.0
+        return u
+
+
+def test_a_zero_uniform_accepts_its_move_without_a_warning(monkeypatch):
+    blades, disk = random_instance(np.random.default_rng(5), 6, with_disk=True)
+    problem = build_qubo(blades, disk, materialize=False)
+    monkeypatch.setattr(np.random, "default_rng", _SomeZeroUniforms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [
+            imbalance_sa_solve(blades, disk, default_imbalance_schedule(blades, disk, 20), seed=1),
+            imbalance_sa_solve(BladeSet([3.0] * 8), DiskImbalance(), seed=1),
+            qubo_sa_solve(problem, default_qubo_schedule(problem, 20), seed=1),
+        ]
+    assert reports[0].valid and reports[1].valid
+    assert reports[2].configuration.bits.shape == (36,)
+
+
 def test_imbalance_sa_runs_the_heuristic_once(monkeypatch):
     blades, disk = random_instance(np.random.default_rng(6), 9, with_disk=True)
     calls = []
@@ -321,7 +384,7 @@ def test_qubo_sa_on_a_materialized_problem_gives_valid_reports():
 # Fixed-seed qubo-sa outputs on a 20-sweep schedule, as packed bits
 # (np.packbits, hex). A change to the evaluator's scalar flip arithmetic or to
 # qubo-sa's random stream shows up here first.
-QUBO_SA_GOLDEN = [
+QUBO_SA_GOLDEN_BITS = [
     (6, 61, 0, "0428102040", True),
     (6, 61, 1, "4200422040", True),
     (20, 62, 0, "0008000840000100000140000040001000001000000020000408000020000010000200800000"
@@ -331,7 +394,7 @@ QUBO_SA_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("n, instance_seed, seed, packed, valid", QUBO_SA_GOLDEN)
+@pytest.mark.parametrize("n, instance_seed, seed, packed, valid", QUBO_SA_GOLDEN_BITS)
 def test_qubo_sa_golden_bits(n, instance_seed, seed, packed, valid):
     blades, disk = random_instance(np.random.default_rng(instance_seed), n, with_disk=True)
     problem = build_qubo(blades, disk, materialize=False)
