@@ -23,7 +23,7 @@ import numpy as np
 from .datasets import InstanceFormatError, load_instance, load_manifest
 from .decompose import DecompositionConfig, check_merge_size, decompose_solve
 from .model import derive_seed
-from .solvers import SOLVERS, get_solver, keyword_parameters
+from .solvers import SOLVERS, check_parameters, get_solver, keyword_parameters
 
 logger = logging.getLogger(__name__)
 
@@ -125,21 +125,24 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
                    solver_params=None, jobs: int = 1):
     """Yield one RunRecord per scheduled run, in schedule order.
 
-    ``instances`` is a list of (name, BladeSet, DiskImbalance). Unknown
-    solver names, parameters (``solver_params[solver]``) that a solver does
-    not take, and a decompose brute-force merge too small for an instance's
-    groups raise ``ValueError`` before anything runs. With ``jobs``
+    ``instances`` is a list of (name, BladeSet, DiskImbalance). An empty
+    solver list, a solver listed twice, unknown solver names, parameters
+    (``solver_params[solver]``) that a solver does not take or whose value
+    fails its bound (:data:`~turbobalance.solvers.PARAMETER_CHECKS`), and a
+    decompose brute-force merge too small for an instance's groups raise
+    ``ValueError`` before anything runs. With ``jobs``
     > 1 the runs execute in a process pool; the record order stays
     deterministic.
     """
     solvers = list(solvers)
     params = solver_params or {}
-    for solver in solvers:
-        given, accepted = params.get(solver, {}), solver_parameters(solver)
-        for name in given:
-            if name not in accepted:
-                raise ValueError(f"solver {solver!r} takes no parameter {name!r}; "
-                                 f"it takes {accepted}")
+    if not solvers:
+        raise ValueError("no solver given")
+    for i, solver in enumerate(solvers):
+        if solver in solvers[:i]:
+            raise ValueError(f"solver {solver!r} is given twice")
+        given = params.get(solver, {})
+        check_parameters(solver, solver_parameters(solver), given)
         if solver == "decompose":  # checks its sub- and merge-solver parameters too
             try:
                 config = DecompositionConfig(**given)

@@ -23,6 +23,7 @@ from . import datasets
 from .datasets import InstanceFormatError, load_instance
 from .decompose import DecompositionConfig, decompose_solve
 from .qubo import DEFAULT_PENALTY_FACTOR, build_qubo, check_penalty_factor, decode, export_qubo
+from .solvers import check_count
 
 ENV_CORPUS = "TURBOBALANCE_CORPUS"
 
@@ -43,24 +44,21 @@ def _corpus_dir() -> Path:
     return Path(os.environ.get(ENV_CORPUS, "corpus"))
 
 
-def _count(text: str) -> int:
-    """Type of the count flags (sweeps, tenure, iterations, repetitions,
-    jobs): an integer of at least 1."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+def _checked(check):
+    """``check`` (a library bound, such as :func:`check_count`) as an argparse
+    type. argparse prints an ``ArgumentTypeError``'s text, but for a
+    ``ValueError`` only the type's name, so the check's error is re-raised
+    as the former."""
+    def parse(text):
+        try:
+            return check(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+    return parse
 
 
-def _penalty_factor(text: str) -> float:
-    """Type of the ``--penalty-factor`` flags: :func:`check_penalty_factor`,
-    whose ``ValueError`` argparse would print only as the function's name."""
-    try:
-        return check_penalty_factor(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+_COUNT = _checked(check_count)
+_PENALTY_FACTOR = _checked(check_penalty_factor)
 
 
 def _add_solver_flags(parser, sweeps: dict) -> None:
@@ -68,11 +66,11 @@ def _add_solver_flags(parser, sweeps: dict) -> None:
     flags ``solve`` and ``bench`` share. Each defaults to None, so
     :func:`_params` passes only the flags given."""
     for flag, text in sweeps.items():
-        parser.add_argument(flag, type=_count, default=None, help=text)
-    parser.add_argument("--penalty-factor", type=_penalty_factor, default=None)
-    parser.add_argument("--tenure", type=_count, default=None)
-    parser.add_argument("--max-iterations", type=_count, default=None)
-    parser.add_argument("--max-subproblem", type=int, default=None)
+        parser.add_argument(flag, type=_COUNT, default=None, help=text)
+    parser.add_argument("--penalty-factor", type=_PENALTY_FACTOR, default=None)
+    parser.add_argument("--tenure", type=_COUNT, default=None)
+    parser.add_argument("--max-iterations", type=_COUNT, default=None)
+    parser.add_argument("--max-subproblem", type=_COUNT, default=None)
     parser.add_argument("--sub-solver", default=None, choices=sorted(bench_mod.SOLVERS))
     parser.add_argument("--merge-solver", default=None, choices=sorted(bench_mod.SOLVERS))
 
@@ -114,9 +112,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--solvers", default="heuristic,imbalance-sa",
                      type=lambda text: [name.strip() for name in text.split(",") if name.strip()],
                      help="comma-separated solver names")
-    run.add_argument("--repetitions", type=_count, default=10)
+    run.add_argument("--repetitions", type=_COUNT, default=10)
     run.add_argument("--base-seed", type=int, default=0)
-    run.add_argument("--jobs", type=_count, default=1)
+    run.add_argument("--jobs", type=_COUNT, default=1)
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--out", type=Path, default=None, help="records file (default: stdout)")
     run.add_argument("--summary", type=Path, default=None, help="also write summary here")
@@ -129,7 +127,7 @@ def _build_parser() -> _Parser:
 
     export = sub.add_parser("export-qubo", help="write an instance's QUBO in sparse text form")
     export.add_argument("instance", type=Path)
-    export.add_argument("--penalty-factor", type=_penalty_factor,
+    export.add_argument("--penalty-factor", type=_PENALTY_FACTOR,
                         default=DEFAULT_PENALTY_FACTOR)
     export.add_argument("--out", type=Path, default=None, help="target file (default: stdout)")
 

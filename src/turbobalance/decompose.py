@@ -32,7 +32,8 @@ from .model import (
     derive_seed,
     imbalance,
 )
-from .solvers import BRUTE_FORCE_LIMIT, SolveReport, get_solver, heuristic_solve, keyword_parameters
+from .solvers import (BRUTE_FORCE_LIMIT, SolveReport, check_count, check_parameters, get_solver,
+                      heuristic_solve, keyword_parameters)
 
 #: Pseudo-mass given to a perfectly balanced group so the merge problem stays
 #: well-formed; placement of such a group is irrelevant to the objective.
@@ -50,7 +51,7 @@ class DecompositionConfig:
     per group, so it can be larger than the cap). A brute-force sub-solver
     needs a cap of at most ``BRUTE_FORCE_LIMIT``. ``sub_solver_params`` and
     ``merge_solver_params`` may hold only parameters of that solver's
-    registry entry.
+    registry entry, each within its bound (:func:`check_parameters`).
     """
 
     max_subproblem: int = 5
@@ -60,19 +61,20 @@ class DecompositionConfig:
     merge_solver_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if int(self.max_subproblem) < 2:
+        object.__setattr__(self, "max_subproblem", check_count(self.max_subproblem))
+        if self.max_subproblem < 2:
             raise ValueError(f"max_subproblem must be >= 2, got {self.max_subproblem}")
-        if self.sub_solver == "brute-force" and int(self.max_subproblem) > BRUTE_FORCE_LIMIT:
+        if self.sub_solver == "brute-force" and self.max_subproblem > BRUTE_FORCE_LIMIT:
             raise ValueError(f"sub_solver 'brute-force' is capped at N={BRUTE_FORCE_LIMIT}, "
                              f"so 'max_subproblem' must be at most {BRUTE_FORCE_LIMIT}, "
                              f"got {self.max_subproblem}")
         for role in ("sub_solver", "merge_solver"):
             name = getattr(self, role)
             accepted = keyword_parameters(get_solver(name))
-            for param in getattr(self, f"{role}_params"):
-                if param not in accepted:
-                    raise ValueError(f"{role}_params: solver {name!r} takes no parameter "
-                                     f"{param!r}; it takes {accepted}")
+            try:
+                check_parameters(name, accepted, getattr(self, f"{role}_params"))
+            except ValueError as err:
+                raise ValueError(f"{role}_params: {err}") from None
 
 
 @dataclass

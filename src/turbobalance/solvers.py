@@ -31,6 +31,7 @@ from .qubo import (
     BinaryConfiguration,
     QuboProblem,
     build_qubo,
+    check_penalty_factor,
     decode,
 )
 
@@ -38,9 +39,26 @@ BRUTE_FORCE_LIMIT = 10
 #: permutations brute force evaluates per numpy batch
 BRUTE_FORCE_BATCH = 20000
 #: moves per block of random draws in imbalance-sa; part of its seed contract.
-#: A block's draws and thresholds take about 0.14 MiB, and the fixed cost of
-#: drawing a block is about 30 us, some 5% of the time its moves take.
+#: A block's draws and thresholds take about 0.14 MiB. At N = 40 (2,040 moves
+#: a block; 2-core VM, numpy 2.4) drawing a block takes about 90-100 us in all,
+#: half of it the three ``.tolist()`` calls, and about 20 us of it is fixed
+#: cost; the draws are some 18% of a 2,000-sweep solve.
 IMBALANCE_SA_BLOCK_MOVES = 2048
+
+
+def check_count(value) -> int:
+    """``value`` as an int if it is an integer of at least 1: a Python or
+    numpy integer (not a bool, not a float) or its decimal text;
+    ``ValueError`` otherwise. The bound of every count: the sweeps, tenure
+    and iteration budgets and decompose's ``max_subproblem``."""
+    integral = isinstance(value, (str, int, np.integer)) and not isinstance(value, bool)
+    try:
+        count = int(value) if integral else 0
+    except ValueError:  # text that is not an integer
+        count = 0
+    if count < 1:
+        raise ValueError(f"must be an integer of at least 1, got {value!r}")
+    return count
 
 
 @dataclass
@@ -85,9 +103,7 @@ class AnnealSchedule:
             raise ValueError(
                 f"t_final must be below t_initial, got {self.t_final} >= {self.t_initial}"
             )
-        if int(self.sweeps) < 1:
-            raise ValueError("need at least one sweep")
-        object.__setattr__(self, "sweeps", int(self.sweeps))
+        object.__setattr__(self, "sweeps", check_count(self.sweeps))
 
     def temperatures(self) -> np.ndarray:
         alpha = (self.t_final / self.t_initial) ** (1.0 / max(self.sweeps - 1, 1))
@@ -315,12 +331,8 @@ def tabu_solve(
     ``tenure`` alone.
     """
     dim = problem.dimension
-    if tenure is None:
-        tenure = 10 + problem.n
-    if max_iterations is None:
-        max_iterations = 50 * dim
-    if tenure < 1 or max_iterations < 1:
-        raise ValueError("tenure and max_iterations must be positive")
+    tenure = 10 + problem.n if tenure is None else check_count(tenure)
+    max_iterations = 50 * dim if max_iterations is None else check_count(max_iterations)
 
     rng = np.random.default_rng(seed)
     ev = problem.evaluator()
@@ -429,6 +441,18 @@ SOLVERS = {
 }
 
 
+#: The bound of each keyword parameter of a :data:`SOLVERS` entry: a function
+#: that returns the value it accepts and raises ``ValueError`` for any other.
+#: The solvers call these themselves; :func:`check_parameters` applies them
+#: before any run.
+PARAMETER_CHECKS = {
+    "sweeps": check_count,
+    "tenure": check_count,
+    "max_iterations": check_count,
+    "penalty_factor": check_penalty_factor,
+}
+
+
 def get_solver(name: str, registry: dict = SOLVERS):
     """``name``'s entry in ``registry``, looked up at call time;
     ``ValueError`` listing the choices if there is none."""
@@ -443,3 +467,17 @@ def keyword_parameters(entry) -> list:
     entry's own solver parameters, after ``blades``, ``disk`` and ``seed``."""
     return [name for name, p in inspect.signature(entry).parameters.items()
             if p.default is not p.empty]
+
+
+def check_parameters(solver: str, accepted: list, params: dict) -> None:
+    """``ValueError`` unless every parameter in ``params`` is one of
+    ``accepted``, the names ``solver`` takes, and its value passes its
+    :data:`PARAMETER_CHECKS` entry, if it has one."""
+    for name, value in params.items():
+        if name not in accepted:
+            raise ValueError(f"solver {solver!r} takes no parameter {name!r}; it takes {accepted}")
+        if name in PARAMETER_CHECKS:
+            try:
+                PARAMETER_CHECKS[name](value)
+            except ValueError as err:
+                raise ValueError(f"solver {solver!r}, parameter {name!r}: {err}") from None

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import logging
@@ -12,7 +13,16 @@ import pytest
 
 from conftest import random_instance
 import turbobalance
-from turbobalance import BladeSet, DiskImbalance, run_benchmark, standard_corpus, summarize
+from turbobalance import (
+    AnnealSchedule,
+    BladeSet,
+    DiskImbalance,
+    build_qubo,
+    run_benchmark,
+    standard_corpus,
+    summarize,
+    tabu_solve,
+)
 from turbobalance.bench import (
     BENCH_SOLVERS,
     IMBALANCE_THRESHOLD,
@@ -25,7 +35,7 @@ from turbobalance.bench import (
     to_json,
     write_csv,
 )
-from turbobalance.solvers import SOLVERS
+from turbobalance.solvers import PARAMETER_CHECKS, SOLVERS, keyword_parameters
 
 
 def _tiny_corpus(sizes=(5, 6), with_disk=True):
@@ -311,3 +321,75 @@ def test_import_does_not_load_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _count_calls(monkeypatch, solver):
+    """Replace ``solver``'s registry entry, for the harness and for decompose,
+    by one with the same signature that records each call's seed; returns
+    the list of seeds."""
+    calls, entry = [], SOLVERS[solver]
+
+    @functools.wraps(entry)
+    def counting(blades, disk, seed, **params):
+        calls.append(seed)
+        return entry(blades, disk, seed, **params)
+
+    monkeypatch.setitem(SOLVERS, solver, counting)
+    monkeypatch.setitem(BENCH_SOLVERS, solver, counting)
+    return calls
+
+
+def test_every_registry_parameter_has_a_check():
+    # a new solver parameter without a bound would reach the runs unchecked
+    assert set(PARAMETER_CHECKS) == set().union(*map(keyword_parameters, SOLVERS.values()))
+
+
+def _library_call(name, value):
+    """Call the library function that checks parameter ``name`` with ``value``."""
+    blades, disk = random_instance(np.random.default_rng(3), 4)
+    if name == "sweeps":
+        return AnnealSchedule(1.0, 0.5, value)
+    if name == "penalty_factor":
+        return build_qubo(blades, disk, penalty_factor=value)
+    return tabu_solve(build_qubo(blades, disk, materialize=False), **{name: value})
+
+
+#: every (solver, parameter) of the registry, with each value outside its bound
+BAD_PARAMETERS = [
+    (solver, name, value)
+    for solver, entry in sorted(SOLVERS.items())
+    for name in keyword_parameters(entry)
+    for value in ((1, float("nan"), float("inf")) if name == "penalty_factor"
+                  else (0, -1, 2.5, True, "x"))
+]
+
+
+@pytest.mark.parametrize("solver, name, value", BAD_PARAMETERS)
+def test_a_parameter_outside_its_bound_fails_before_any_run(monkeypatch, solver, name, value):
+    with pytest.raises(ValueError) as library_error:
+        _library_call(name, value)
+    message = str(library_error.value)
+    assert message.startswith(("must be an integer of at least 1, got ",
+                               "penalty_factor must be finite and > 1"))
+    calls = _count_calls(monkeypatch, solver)
+    corpus = _tiny_corpus(sizes=(5,))
+    bound = f"solver {solver!r}, parameter {name!r}: {message}"
+    with pytest.raises(ValueError, match=re.escape(bound)):
+        run_benchmark(corpus, [solver], repetitions=1, solver_params={solver: {name: value}})
+    for role in ("sub_solver", "merge_solver"):
+        config = {role: solver, f"{role}_params": {name: value}}
+        with pytest.raises(ValueError, match=re.escape(f"solver 'decompose': {role}_params: {bound}")):
+            run_benchmark(corpus, ["decompose"], repetitions=1,
+                          solver_params={"decompose": config})
+    assert calls == []
+
+
+@pytest.mark.parametrize("solvers, message", [
+    ([], "no solver given"),
+    (["heuristic", "imbalance-sa", "heuristic"], "solver 'heuristic' is given twice"),
+])
+def test_an_empty_or_repeated_solver_list_fails_before_any_run(monkeypatch, solvers, message):
+    calls = _count_calls(monkeypatch, "heuristic")
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(_tiny_corpus(), solvers, repetitions=1, solver_params=FAST_PARAMS)
+    assert calls == []

@@ -7,7 +7,7 @@ from turbobalance import decode, generate
 from turbobalance.bench import BENCH_SOLVERS
 from turbobalance.cli import main
 from turbobalance.datasets import write_manifest
-from turbobalance.solvers import SOLVERS
+from turbobalance.solvers import SOLVERS, check_count
 
 
 def run_cli(argv):
@@ -379,3 +379,37 @@ def test_corpus_dir_env_override(tmp_path, monkeypatch):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "generate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("solvers, message", [
+    ("", "no solver given"),
+    ("heuristic,heuristic", "solver 'heuristic' is given twice"),
+])
+def test_bench_refuses_an_empty_or_repeated_solver_list_before_any_output(tmp_path, capsys,
+                                                                          solvers, message):
+    generate("NORM", 5, seed=0).save(tmp_path)
+    manifest = write_manifest(tmp_path, ["NORM5_0000"])
+    out, summary = tmp_path / "runs.csv", tmp_path / "summary.csv"
+    code = run_cli(["bench", "--manifest", str(manifest), "--solvers", solvers,
+                    "--repetitions", "1", "--out", str(out), "--summary", str(summary)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("solver, flag, value", [
+    ("decompose", "--max-subproblem", "2.5"),
+    ("decompose", "--max-subproblem", "x"),
+    ("imbalance-sa", "--sweeps", "2.5"),
+    ("tabu", "--max-iterations", "1e3"),
+])
+def test_a_non_integer_count_flag_fails_at_parse_time_with_the_library_message(
+        tmp_path, capsys, solver, flag, value):
+    path = generate("NORM", 5, seed=0).save(tmp_path)
+    out = tmp_path / "out.json"
+    assert run_cli(["solve", str(path), "--solver", solver, flag, value,
+                    "--output", str(out)]) == 1
+    with pytest.raises(ValueError) as library_error:
+        check_count(value)
+    assert f"argument {flag}: {library_error.value}\n" in capsys.readouterr().err
+    assert not out.exists()

@@ -213,6 +213,16 @@ def test_config_validation():
         DecompositionConfig(max_subproblem=11, sub_solver="brute-force")
 
 
+def test_config_takes_max_subproblem_as_decimal_text():
+    config = DecompositionConfig(max_subproblem="3", sub_solver="brute-force",
+                                 merge_solver="brute-force")
+    assert config.max_subproblem == 3
+    blades, disk = random_instance(np.random.default_rng(8), 6, with_disk=True)
+    report, trace = decompose_solve(blades, disk, config, seed=0)
+    assert report.valid
+    assert [len(leaf.blades) for leaf in trace.leaves()] == [3, 3]
+
+
 @pytest.mark.parametrize("config, name", [
     ({"sub_solver_params": {"tenure": 3}}, "tenure"),
     ({"merge_solver": "brute-force", "merge_solver_params": {"sweeps": 9}}, "sweeps"),

@@ -28,6 +28,7 @@ from turbobalance import solvers
 from turbobalance.solvers import (
     IMBALANCE_SA_BLOCK_MOVES,
     SOLVERS,
+    check_count,
     default_imbalance_schedule,
     default_qubo_schedule,
     get_solver,
@@ -122,6 +123,13 @@ def test_anneal_schedule_validation():
         AnnealSchedule(0.0, 0.0, 10)
     with pytest.raises(ValueError):
         AnnealSchedule(1.0, 0.5, 0)
+
+
+@pytest.mark.parametrize("value", [7, np.int64(7), np.uint8(7), "7"])
+def test_a_count_is_returned_as_an_int(value):
+    count = check_count(value)
+    assert type(count) is int and count == 7
+    assert AnnealSchedule(1.0, 0.5, value).sweeps == 7
 
 
 def test_anneal_schedule_geometric_endpoints():
