@@ -6,7 +6,7 @@ from the base seed and a stable hash of the triple, so any single run can be
 reproduced in isolation. A record's imbalance is its report's: every entry
 of :data:`BENCH_SOLVERS` measures it on the full objective (blades plus
 bare disk), so the numbers stay comparable across solvers that do or do not
-look at the disk. Solver names and parameters are checked before any run.
+look at the disk. The whole schedule is checked before any run.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from .datasets import InstanceFormatError, load_instance, load_manifest
 from .decompose import DecompositionConfig, check_merge_size, decompose_solve
 from .model import derive_seed
-from .solvers import SOLVERS, check_parameters, get_solver, keyword_parameters
+from .solvers import (SOLVERS, check_blade_count, check_count, check_parameters, get_solver,
+                      keyword_parameters)
 
 logger = logging.getLogger(__name__)
 
@@ -125,17 +126,18 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
                    solver_params=None, jobs: int = 1):
     """Yield one RunRecord per scheduled run, in schedule order.
 
-    ``instances`` is a list of (name, BladeSet, DiskImbalance). An empty
-    solver list, a solver listed twice, unknown solver names, parameters
+    ``instances`` is a list of (name, BladeSet, DiskImbalance). Bad input
+    raises ``ValueError`` before anything runs: ``repetitions`` or ``jobs``
+    below 1, an empty or repeated solver list, an unknown solver, parameters
     (``solver_params[solver]``) that a solver does not take or whose value
-    fails its bound (:data:`~turbobalance.solvers.PARAMETER_CHECKS`), and a
-    decompose brute-force merge too small for an instance's groups raise
-    ``ValueError`` before anything runs. With ``jobs``
-    > 1 the runs execute in a process pool; the record order stays
-    deterministic.
+    fails its bound (:data:`~turbobalance.solvers.PARAMETER_CHECKS`), and an
+    instance with more blades, or decompose groups, than a solver takes
+    (:func:`~turbobalance.solvers.check_blade_count`). With ``jobs`` > 1 the
+    runs execute in a process pool; the record order stays deterministic.
     """
     solvers = list(solvers)
     params = solver_params or {}
+    repetitions, jobs = check_count(repetitions), check_count(jobs)
     if not solvers:
         raise ValueError("no solver given")
     for i, solver in enumerate(solvers):
@@ -143,6 +145,11 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
             raise ValueError(f"solver {solver!r} is given twice")
         given = params.get(solver, {})
         check_parameters(solver, solver_parameters(solver), given)
+        for name, blades, _disk in instances:
+            try:
+                check_blade_count(solver, blades.n)
+            except ValueError as err:
+                raise ValueError(f"instance {name!r}: {err}") from None
         if solver == "decompose":  # checks its sub- and merge-solver parameters too
             try:
                 config = DecompositionConfig(**given)

@@ -32,7 +32,7 @@ from .model import (
     derive_seed,
     imbalance,
 )
-from .solvers import (BRUTE_FORCE_LIMIT, SolveReport, check_count, check_parameters, get_solver,
+from .solvers import (SolveReport, check_blade_count, check_count, check_parameters, get_solver,
                       heuristic_solve, keyword_parameters)
 
 #: Pseudo-mass given to a perfectly balanced group so the merge problem stays
@@ -48,8 +48,8 @@ class DecompositionConfig:
 
     ``sub_solver`` runs on every group of at most ``max_subproblem`` blades;
     ``merge_solver`` runs on the residual-balancing problem (one pseudo-blade
-    per group, so it can be larger than the cap). A brute-force sub-solver
-    needs a cap of at most ``BRUTE_FORCE_LIMIT``. ``sub_solver_params`` and
+    per group, so it can be larger than the cap), and each must take the
+    blades it gets (:func:`check_blade_count`). ``sub_solver_params`` and
     ``merge_solver_params`` may hold only parameters of that solver's
     registry entry, each within its bound (:func:`check_parameters`).
     """
@@ -64,10 +64,10 @@ class DecompositionConfig:
         object.__setattr__(self, "max_subproblem", check_count(self.max_subproblem))
         if self.max_subproblem < 2:
             raise ValueError(f"max_subproblem must be >= 2, got {self.max_subproblem}")
-        if self.sub_solver == "brute-force" and self.max_subproblem > BRUTE_FORCE_LIMIT:
-            raise ValueError(f"sub_solver 'brute-force' is capped at N={BRUTE_FORCE_LIMIT}, "
-                             f"so 'max_subproblem' must be at most {BRUTE_FORCE_LIMIT}, "
-                             f"got {self.max_subproblem}")
+        try:
+            check_blade_count(self.sub_solver, self.max_subproblem)
+        except ValueError as err:
+            raise ValueError(f"'max_subproblem' is too large for the sub-solver: {err}") from None
         for role in ("sub_solver", "merge_solver"):
             name = getattr(self, role)
             accepted = keyword_parameters(get_solver(name))
@@ -195,12 +195,10 @@ def _solve_leaf(leaf, group, disk, config, seed, key, first_seed=None):
 
 
 def check_merge_size(n: int, config: DecompositionConfig) -> None:
-    """``ValueError`` if ``config`` merges with brute force and ``n`` blades
-    make more groups than it takes. The count depends only on ``n`` and the
-    cap: a group above the cap splits, as :func:`split` cuts it, into halves
-    of ceil(size / 2) and floor(size / 2) blades."""
-    if config.merge_solver != "brute-force":
-        return
+    """``ValueError`` if ``n`` blades make more groups than ``config``'s merge
+    solver takes (:func:`check_blade_count`). The count depends only on ``n``
+    and the cap: a group above the cap splits, as :func:`split` cuts it, into
+    halves of ceil(size / 2) and floor(size / 2) blades."""
 
     def groups(size):
         if size <= config.max_subproblem:
@@ -208,10 +206,11 @@ def check_merge_size(n: int, config: DecompositionConfig) -> None:
         return groups((size + 1) // 2) + groups(size // 2)
 
     count = groups(n)
-    if count > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"merge_solver 'brute-force' is capped at N={BRUTE_FORCE_LIMIT}, "
-                         f"but {n} blades at max_subproblem {config.max_subproblem} "
-                         f"make {count} groups to merge")
+    try:
+        check_blade_count(config.merge_solver, count)
+    except ValueError as err:
+        raise ValueError(f"{n} blades at max_subproblem {config.max_subproblem} make "
+                         f"{count} groups to merge: {err}") from None
 
 
 def _build_tree(ids, cap, exact=True) -> TraceNode:
@@ -315,15 +314,13 @@ def decompose_solve(
     When the instance already fits under the cap no split happens: the root
     is the one leaf, solved on ``disk`` with its first attempt run on
     ``seed`` itself, so the result is the sub-solver's answer on the full
-    problem and the two calls are interchangeable. Otherwise a brute-force
-    merge solver that cannot take the tree's leaf count raises
+    problem and the two calls are interchangeable; this includes N = 1.
+    Otherwise a merge solver that cannot take the tree's leaf count raises
     ``ValueError`` (:func:`check_merge_size`) before any leaf is solved.
     """
     if config is None:
         config = DecompositionConfig()
     n = blades.n
-    if n < 2:
-        raise ValueError(f"decomposition needs at least 2 blades, got {n}")
     check_merge_size(n, config)
     masses = blades.masses
 

@@ -377,8 +377,7 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
     tests and small instances, not as a production solver.
     """
     n = blades.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force is capped at N={BRUTE_FORCE_LIMIT}, got N={n}")
+    check_blade_count("brute-force", n)
     z = SlotGeometry(n).unit_vectors()
     m = blades.masses
     y = disk.vector
@@ -451,6 +450,17 @@ PARAMETER_CHECKS = {
     "max_iterations": check_count,
     "penalty_factor": check_penalty_factor,
 }
+
+
+#: The most blades a solver takes; a solver not listed, decompose too, takes any N >= 1.
+BLADE_LIMITS = {"brute-force": BRUTE_FORCE_LIMIT}
+
+
+def check_blade_count(solver: str, n: int) -> None:
+    """``ValueError`` if ``solver`` takes fewer than ``n`` blades (:data:`BLADE_LIMITS`)."""
+    limit = BLADE_LIMITS.get(solver, n)
+    if n > limit:
+        raise ValueError(f"solver {solver!r} takes at most N={limit} blades, got {n}")
 
 
 def get_solver(name: str, registry: dict = SOLVERS):

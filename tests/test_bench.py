@@ -249,11 +249,41 @@ def test_oversized_brute_force_merge_is_refused_before_any_run(monkeypatch):
     assert calls == []
 
 
-def test_crashing_run_still_yields_a_record(caplog):
+def test_brute_force_above_its_cap_is_refused_before_any_run(monkeypatch):
+    monkeypatch.setattr(turbobalance.bench, "_execute_run", lambda task: pytest.fail("a run started"))
+    rng = np.random.default_rng(12)
+    corpus = [("T10", *random_instance(rng, 10)), ("T12", *random_instance(rng, 12))]
+    bound = "instance 'T12': solver 'brute-force' takes at most N=10 blades, got 12"
+    with pytest.raises(ValueError, match=re.escape(bound)):
+        run_benchmark(corpus, ["heuristic", "brute-force"], repetitions=1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("repetitions", 0), ("repetitions", True), ("repetitions", 2.5), ("repetitions", "x"),
+    ("jobs", 0), ("jobs", -3), ("jobs", False), ("jobs", 1.0),
+])
+def test_repetitions_and_jobs_below_one_fail_before_any_run(monkeypatch, name, value):
+    # the bound of the --repetitions and --jobs flags, for library callers
+    monkeypatch.setattr(turbobalance.bench, "_execute_run", lambda task: pytest.fail("a run started"))
+    counts = {"repetitions": 1, "jobs": 1, name: value}
+    with pytest.raises(ValueError, match=re.escape(f"at least 1, got {value!r}")):
+        run_benchmark(_tiny_corpus(), ["heuristic"], **counts)
+
+
+def test_repetitions_and_jobs_take_decimal_text_as_the_flags_do():
+    records = run_benchmark(_tiny_corpus(sizes=(5,)), ["heuristic"], repetitions="2", jobs="1")
+    assert [r.repetition for r in records] == [0, 1]
+
+
+def test_crashing_run_still_yields_a_record(monkeypatch, caplog):
+    def crashing(blades, disk, seed):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setitem(BENCH_SOLVERS, "crashing", crashing)
     blades, disk = random_instance(np.random.default_rng(1), 12)
     with caplog.at_level(logging.ERROR):
-        records = run_benchmark([("BIG", blades, disk)], ["brute-force"], repetitions=2)
-    assert len(records) == 2  # brute force is capped at N=10 and raises
+        records = run_benchmark([("BIG", blades, disk)], ["crashing"], repetitions=2)
+    assert len(records) == 2  # every run raises
     assert all(not r.valid and r.imbalance is None for r in records)
     assert "BIG" in caplog.text
 

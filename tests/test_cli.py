@@ -195,6 +195,17 @@ def test_bench_refuses_an_oversized_brute_force_merge_before_any_output(tmp_path
     assert not out.exists()
 
 
+def test_bench_refuses_brute_force_above_its_cap_before_any_output(tmp_path, capsys):
+    generate("NORM", 20, seed=0).save(tmp_path)
+    manifest = write_manifest(tmp_path, ["NORM20_0000"])
+    out = tmp_path / "runs.csv"
+    code = run_cli(["bench", "--manifest", str(manifest), "--solvers", "heuristic,brute-force",
+                    "--repetitions", "1", "--out", str(out)])
+    assert code == 2
+    assert "instance 'NORM20_0000': solver 'brute-force' takes at most N=10" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_reports_violation_counts_of_an_invalid_output(tmp_path, capsys):
     instance = generate("NORM", 6, seed=2)
     instance.save(tmp_path)

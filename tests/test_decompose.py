@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_instance, rel_close
 from turbobalance import (
+    Assignment,
     BladeSet,
     DecompositionConfig,
     DiskImbalance,
@@ -280,9 +281,13 @@ def test_decomposition_is_exactly_accounted_at_production_blade_counts(
     assert again.assignment == report.assignment
 
 
-def test_decompose_rejects_single_blade():
-    with pytest.raises(ValueError):
-        decompose_solve(BladeSet([1.0]), DiskImbalance(), BRUTE, seed=0)
+def test_decompose_places_a_single_blade_in_its_one_slot():
+    blades = BladeSet([1.0])
+    for disk in (DiskImbalance(), DiskImbalance(2.0, 0.3)):
+        report, trace = decompose_solve(blades, disk, BRUTE, seed=0)
+        assert report.valid and report.assignment == Assignment.identity(1)
+        assert report.imbalance == imbalance(blades, disk, report.assignment).d
+        assert [leaf.blades for leaf in trace.leaves()] == [(1,)]
 
 
 def test_default_pipeline_runs_at_production_scale():
