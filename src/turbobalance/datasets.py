@@ -14,6 +14,7 @@ Instances are stored one JSON document per file; a corpus directory carries a
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -165,6 +166,15 @@ def _require(doc, key, path):
     return doc[key]
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the range of a float
+        return False
+
+
 def load_instance(path) -> InstanceFile:
     """Parse and validate one instance file.
 
@@ -213,6 +223,11 @@ def load_instance(path) -> InstanceFile:
 
     target_mean = provenance.get("target_mean")
     target_std = provenance.get("target_std")
+    for key, target in (("target_mean", target_mean), ("target_std", target_std)):
+        if target is not None and not _is_finite_number(target):
+            raise InstanceFormatError(
+                f"{path}: field 'provenance' holds a {key} that is not a finite number: {target!r}"
+            )
     if target_mean is not None and target_std is not None and masses.size >= 2:
         mean = masses.mean()
         std = masses.std(ddof=1)

@@ -22,7 +22,9 @@ it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +39,10 @@ from .model import (
 DEFAULT_PENALTY_FACTOR = 10.0
 #: edge of the square tiles the in-place symmetrization walks (512 KiB each)
 SYMMETRIZE_TILE = 256
+#: entry lines :func:`load_qubo_export` parses at a time, about 110 KiB of export
+#: text; larger chunks parse no faster and leave more memory held after a load
+EXPORT_CHUNK_LINES = 1 << 12
+_EXPORT_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +52,13 @@ class BinaryConfiguration:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8)
+        bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size < 1:
             raise ValueError("configuration must be a non-empty 1-d bit sequence")
+        # checked before the cast, which would truncate 0.5 to 0 and wrap 257 to 1
         if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("configuration entries must be 0 or 1")
+        bits = bits.astype(np.int8, copy=False)
         n = math.isqrt(bits.size)
         if n * n != bits.size:
             raise ValueError(f"configuration length {bits.size} is not a perfect square")
@@ -465,7 +473,10 @@ def load_qubo_export(path):
     """Read a file written by :func:`export_qubo`; returns (matrix, offset).
 
     The matrix is reconstructed in symmetric form, so energies computed as
-    x^T Q x match the original problem. Malformed input raises ``ValueError``.
+    x^T Q x match the original problem. Blank lines are skipped, an entry
+    may name its pair as ``j i`` with ``j < i``, and of a pair given more than
+    once the last entry wins. A malformed header or entry line raises
+    ``ValueError`` quoting it.
     """
     if hasattr(path, "read"):
         return _read_export(path)
@@ -474,9 +485,9 @@ def load_qubo_export(path):
 
 
 def _read_export(fh):
-    # line by line, so the text never sits in memory as a whole
-    lines = (ln for ln in fh if ln.strip())
-    header = next(lines, None)
+    # a chunk of lines at a time, so the text never sits in memory as a whole
+    lines = iter(fh)
+    header = next((ln for ln in lines if ln.strip()), None)
     if header is None:
         raise ValueError("empty QUBO export: expected a '# dim <n> offset <value>' header")
     head = header.split()
@@ -491,7 +502,54 @@ def _read_export(fh):
         raise ValueError(
             f"malformed header line: {header.strip()!r} (expected '# dim <n> offset <value>')"
         ) from None
-    for ln in lines:
+    entry_lines = filter(str.strip, lines)
+    while chunk := list(islice(entry_lines, EXPORT_CHUNK_LINES)):
+        if not _write_parsed_chunk(q, chunk):
+            _write_entry_lines(q, chunk)
+    return q, offset
+
+
+def _write_parsed_chunk(q: np.ndarray, chunk: list) -> bool:
+    """Write the entry lines ``chunk`` into ``q`` through numpy's parser and
+    return True, or write nothing and return False.
+
+    True needs every line to parse, every index to lie in range and no two
+    entries to name one pair, so no two writes hit one cell. numpy's parser
+    accepts part of what ``int`` and ``float`` accept, and reads it to the
+    same values; on a refused chunk :func:`_write_entry_lines` writes the
+    same matrix or raises."""
+    try:
+        with warnings.catch_warnings():
+            # a warning refuses the chunk too: older numpy parses '1.0' into an
+            # int64 field with a DeprecationWarning, where int() raises
+            warnings.simplefilter("error")
+            entries = np.loadtxt(chunk, dtype=_EXPORT_ENTRY, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return False
+    if entries.size != len(chunk):
+        return False
+    dim = q.shape[0]
+    i, j, v = entries["i"], entries["j"], entries["v"]
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    if low.min() < 0 or high.max() >= dim:
+        return False
+    pairs = np.sort(low * dim + high)
+    if np.any(pairs[1:] == pairs[:-1]):
+        return False
+    flat = q.reshape(-1)
+    diagonal = i == j
+    flat[i[diagonal] * (dim + 1)] = v[diagonal]
+    i, j, half = i[~diagonal], j[~diagonal], 0.5 * v[~diagonal]
+    flat[i * dim + j] = half
+    flat[j * dim + i] = half
+    return True
+
+
+def _write_entry_lines(q: np.ndarray, chunk: list):
+    """Write the entry lines ``chunk`` into ``q`` one at a time; the reference
+    parser, and the one that names a malformed line."""
+    dim = q.shape[0]
+    for ln in chunk:
         fields = ln.split()
         try:
             if len(fields) != 3:
@@ -507,4 +565,3 @@ def _read_export(fh):
             q[i, i] = v
         else:
             q[i, j] = q[j, i] = 0.5 * v
-    return q, offset

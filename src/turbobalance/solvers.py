@@ -371,7 +371,12 @@ def tabu_solve(
 
 
 def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
-    """Exact minimum over all N! assignments; ties go to the smallest sigma.
+    """Exact minimum over all N! assignments.
+
+    Ties exact in floating point go to the smallest sigma. Ties only in exact
+    arithmetic, such as the N rotations of a placement on a balanced disk,
+    go to whichever d^2 rounds lowest, so which optimal sigma is returned
+    depends on the summation order.
 
     Guarded at N <= 10 (10! is ~3.6M evaluations); meant as the oracle for
     tests and small instances, not as a production solver.

@@ -176,6 +176,26 @@ def test_malformed_field_is_a_format_error_naming_the_file(tmp_path, caplog, fie
     assert bad.name in caplog.text
 
 
+@pytest.mark.parametrize("key", ["target_mean", "target_std"])
+@pytest.mark.parametrize("value", ["100", [1], True, float("nan"), 10 ** 400],
+                         ids=["text", "list", "bool", "nan", "int-past-float"])
+def test_declared_scaling_that_is_not_a_number_is_a_format_error(tmp_path, caplog, key, value):
+    good, bad = generate("NORM", 5, seed=1), generate("BETA", 6, seed=2)
+    good.save(tmp_path)
+    doc = bad.to_dict()
+    doc["provenance"][key] = value
+    path = tmp_path / f"{bad.name}.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceFormatError, match=f"{re.escape(str(path))}: field 'provenance'"):
+        load_instance(path)
+    # the harness skips the file with a logged error and keeps the rest
+    manifest = write_manifest(tmp_path, [good.name, bad.name])
+    with caplog.at_level(logging.ERROR):
+        corpus = load_corpus(manifest)
+    assert [name for name, _, _ in corpus] == [good.name]
+    assert bad.name in caplog.text
+
+
 def test_load_corpus_rejects_two_files_with_one_name(tmp_path):
     # runs are seeded and summarized by name, so the two would merge into one cell
     manifest = same_name_manifest(tmp_path)

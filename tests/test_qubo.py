@@ -16,12 +16,14 @@ from turbobalance import (
     decode,
     encode,
     export_qubo,
+    generate,
     imbalance,
     min_penalties,
     qubo_energy,
 )
 from turbobalance.model import SlotGeometry
 from turbobalance.qubo import (
+    EXPORT_CHUNK_LINES,
     SYMMETRIZE_TILE,
     _symmetrize,
     load_qubo_export,
@@ -195,8 +197,12 @@ def test_decode_rejects_non_square_length():
 
 
 def test_configuration_rejects_non_binary():
-    with pytest.raises(ValueError):
-        BinaryConfiguration(np.array([0, 2, 1, 0]))
+    # checked before the int8 cast, which truncates 0.5 and 1.5 and wraps 257 to 1
+    for bits in ([0, 2, 1, 0], [0.5, 1, 1, 0], [1.5, 0, 0, 1], [257, 1, 1, 0]):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            BinaryConfiguration(np.array(bits))
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            decode(bits)
 
 
 @pytest.mark.parametrize("bits", [[], [[0, 1], [1, 0]]])
@@ -440,6 +446,82 @@ def test_load_rejects_malformed_export(text):
         load_qubo_export(io.StringIO(text))
     if text:  # the message quotes the offending line
         assert repr(text.splitlines()[-1]) in str(err.value)
+
+
+def reference_load(text):
+    """The per-line loader that the chunked one replaced, kept as the
+    reference for its matrix and its messages (the header must be well formed)."""
+    lines = (ln for ln in io.StringIO(text) if ln.strip())
+    head = next(lines).split()
+    dim = int(head[2])
+    q = np.zeros((dim, dim))
+    for ln in lines:
+        fields = ln.split()
+        try:
+            if len(fields) != 3:
+                raise ValueError
+            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise ValueError(
+                f"malformed entry line: {ln.strip()!r} (expected 'i j value')"
+            ) from None
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"entry line {ln.strip()!r} has an index outside 0..{dim - 1}")
+        if i == j:
+            q[i, i] = v
+        else:
+            q[i, j] = q[j, i] = 0.5 * v
+    return q, float(head[4])
+
+
+@pytest.fixture(scope="module")
+def norm20_export():
+    """Export text of a NORM20 instance: dim 400, 80,200 entry lines."""
+    problem = build_qubo(generate("NORM", 20, seed=3).blade_set(), DiskImbalance(500.0, 1.0))
+    buffer = io.StringIO()
+    export_qubo(problem, buffer)
+    return buffer.getvalue()
+
+
+def test_load_equals_the_per_line_reference_on_exports(norm20_export):
+    assert norm20_export.count("\n") - 1 > EXPORT_CHUNK_LINES  # more than one chunk
+    small = io.StringIO()
+    export_qubo(build_qubo(*random_instance(np.random.default_rng(31), 4, with_disk=True)), small)
+    for text in (norm20_export, small.getvalue()):
+        matrix, offset = load_qubo_export(io.StringIO(text))
+        expected, expected_offset = reference_load(text)
+        assert np.array_equal(matrix, expected)
+        assert offset == expected_offset
+
+
+@pytest.mark.parametrize("chunk_lines", [2, EXPORT_CHUNK_LINES])
+@pytest.mark.parametrize("entries", [
+    "0 1 2.0\n1 1 3.0\n2 3 4.0\n0 1 5.0\n",  # a repeated pair: the last entry wins
+    "0 1 2.0\n1 0 6.0\n",  # one pair in both orders
+    "\n0 1 2.0\n   \n\n1 1 3.0\n\t\n2 2 1.5\n",  # blank lines between entries
+    "0\t1\t2.0\n1\x0b2\x0b3.0\n",  # tab and vertical-tab separators
+    "1_0 3 2.0\n3 3 1.0\n",  # an index that int() reads and numpy refuses
+], ids=["repeated", "both-orders", "blank-lines", "tab-vtab", "underscore"])
+def test_load_equals_the_per_line_reference_on_unusual_lines(monkeypatch, chunk_lines, entries):
+    monkeypatch.setattr("turbobalance.qubo.EXPORT_CHUNK_LINES", chunk_lines)
+    text = "# dim 16 offset 0.5\n" + entries
+    matrix, offset = load_qubo_export(io.StringIO(text))
+    expected, expected_offset = reference_load(text)
+    assert np.array_equal(matrix, expected)
+    assert offset == expected_offset
+
+
+@pytest.mark.parametrize("bad", ["5 400 1.0\n", "5 7 x\n"], ids=["out-of-range", "malformed"])
+def test_load_raises_the_reference_message_from_the_second_chunk(norm20_export, bad):
+    lines = norm20_export.splitlines(keepends=True)
+    at = EXPORT_CHUNK_LINES + 100  # lines[0] is the header
+    text = "".join(lines[:at] + [bad] + lines[at:])
+    with pytest.raises(ValueError) as expected:
+        reference_load(text)
+    with pytest.raises(ValueError) as got:
+        load_qubo_export(io.StringIO(text))
+    assert str(got.value) == str(expected.value)
+    assert repr(bad.strip()) in str(got.value)
 
 
 def test_export_requires_materialized_matrix(tmp_path):
