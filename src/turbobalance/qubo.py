@@ -455,18 +455,17 @@ def export_qubo(problem: QuboProblem, path):
 
 
 def _write_export(problem: QuboProblem, fh):
-    # one write per matrix row, so the text never sits in memory as a whole
+    # one numpy pass and one write per matrix row, so the text never sits in memory as a whole
     q = problem.matrix
     fh.write(f"# dim {problem.dimension} offset {float(problem.constant_offset)!r}\n")
     for i in range(problem.dimension):
-        lines = []
-        if q[i, i] != 0.0:
-            lines.append(f"{i} {i} {float(q[i, i])!r}\n")
-        row = q[i, i + 1:]
-        for off in np.nonzero(row)[0]:
-            j = i + 1 + int(off)
-            lines.append(f"{i} {j} {float(2.0 * q[i, j])!r}\n")
-        fh.write("".join(lines))
+        row = q[i, i:]
+        offsets = np.flatnonzero(row)
+        values = row[offsets]
+        values[int(row[0] != 0.0):] *= 2.0  # the diagonal, offset 0, stays undoubled
+        fh.write("".join([
+            f"{i} {j} {v!r}\n" for j, v in zip((offsets + i).tolist(), values.tolist())
+        ]))
 
 
 def load_qubo_export(path):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tracemalloc
 
@@ -408,6 +409,8 @@ def test_export_header_and_roundtrip():
         assert 0 <= int(i) <= int(j) < 16
 
     matrix, offset = load_qubo_export(io.StringIO(text))
+    # exact: 0.5 * float(repr(2.0 * q)) == q for every finite |q| below 8.9e307
+    assert np.array_equal(matrix, problem.matrix)
     assert offset == problem.constant_offset
     for _ in range(20):
         x = rng.integers(0, 2, size=16).astype(float)
@@ -522,6 +525,64 @@ def test_load_raises_the_reference_message_from_the_second_chunk(norm20_export, 
         load_qubo_export(io.StringIO(text))
     assert str(got.value) == str(expected.value)
     assert repr(bad.strip()) in str(got.value)
+
+
+def reference_export(problem):
+    """The per-entry writer that the row-wise one replaced, kept as the
+    reference for the export text."""
+    q = problem.matrix
+    lines = [f"# dim {problem.dimension} offset {float(problem.constant_offset)!r}\n"]
+    for i in range(problem.dimension):
+        if q[i, i] != 0.0:
+            lines.append(f"{i} {i} {float(q[i, i])!r}\n")
+        for off in np.nonzero(q[i, i + 1:])[0]:
+            j = i + 1 + int(off)
+            lines.append(f"{i} {j} {float(2.0 * q[i, j])!r}\n")
+    return "".join(lines)
+
+
+class CountingBuffer(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def unusual_problem():
+    """A symmetric dim-9 matrix of special values: signed zeros, NaN, infinities,
+    subnormals, an off-diagonal 5e307 (doubled to 1e308) and 1e308 (doubled to
+    inf), zeros on the diagonal and an all-zero row (7)."""
+    entries = {
+        (0, 0): -0.0, (0, 1): np.nan, (0, 2): np.inf, (0, 3): -np.inf, (1, 1): 5e-324,
+        (1, 2): 5e307, (1, 3): -0.0, (1, 8): 1e308, (2, 2): np.nan, (2, 4): -5e307,
+        (3, 3): np.inf, (4, 5): 1e-310, (5, 5): -np.inf, (5, 8): -1e308, (6, 8): 3.5,
+    }
+    q = np.zeros((9, 9))
+    for (i, j), v in entries.items():
+        q[i, j] = q[j, i] = v
+    return dataclasses.replace(build_qubo(BladeSet([1.0, 2.0, 3.0]), DiskImbalance()), matrix=q)
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: build_qubo(generate("NORM", 20, seed=3).blade_set(), DiskImbalance(500.0, 1.0)),
+    lambda: build_qubo(*random_instance(np.random.default_rng(32), 4, with_disk=True)),
+    lambda: build_qubo(BladeSet(np.full(5, 100.0)), DiskImbalance()),
+    unusual_problem,
+], ids=["norm20", "random4-disk", "equal-mass", "unusual"])
+def test_export_equals_the_per_entry_reference(make_problem):
+    problem = make_problem()
+    buffer = CountingBuffer()
+    with np.errstate(over="ignore"):  # 2 * 1e308 overflows to inf in both writers
+        export_qubo(problem, buffer)
+        expected = reference_export(problem)
+    got = buffer.getvalue()
+    # the first differing line: pytest takes minutes to explain two unequal 2 MiB strings
+    assert [(a, b) for a, b in zip(got.splitlines(), expected.splitlines()) if a != b][:1] == []
+    assert got == expected
+    assert buffer.writes == problem.dimension + 1  # the header, then one write per row
 
 
 def test_export_requires_materialized_matrix(tmp_path):
