@@ -22,8 +22,8 @@ from . import bench as bench_mod
 from . import datasets
 from .datasets import InstanceFormatError, load_instance
 from .decompose import DecompositionConfig, decompose_solve
-from .qubo import DEFAULT_PENALTY_FACTOR, build_qubo, check_penalty_factor, decode, export_qubo
-from .solvers import check_count
+from .qubo import DEFAULT_PENALTY_FACTOR, build_qubo, decode, export_qubo
+from .solvers import PARAMETER_CHECKS, check_count
 
 ENV_CORPUS = "TURBOBALANCE_CORPUS"
 
@@ -58,21 +58,17 @@ def _checked(check):
 
 
 _COUNT = _checked(check_count)
-_PENALTY_FACTOR = _checked(check_penalty_factor)
 
 
 def _add_solver_flags(parser, sweeps: dict) -> None:
-    """Add the solver flags: ``sweeps`` (flag -> help text), then the six
-    flags ``solve`` and ``bench`` share. Each defaults to None, so
-    :func:`_params` passes only the flags given."""
-    for flag, text in sweeps.items():
-        parser.add_argument(flag, type=_COUNT, default=None, help=text)
-    parser.add_argument("--penalty-factor", type=_PENALTY_FACTOR, default=None)
-    parser.add_argument("--tenure", type=_COUNT, default=None)
-    parser.add_argument("--max-iterations", type=_COUNT, default=None)
-    parser.add_argument("--max-subproblem", type=_COUNT, default=None)
-    parser.add_argument("--sub-solver", default=None, choices=sorted(bench_mod.SOLVERS))
-    parser.add_argument("--merge-solver", default=None, choices=sorted(bench_mod.SOLVERS))
+    """Add one flag per :data:`~turbobalance.solvers.PARAMETER_CHECKS` entry,
+    typed by its check: ``--`` and the parameter's name, ``_`` written ``-``,
+    except that the flags in ``sweeps`` (flag -> help text) set ``sweeps``.
+    Each defaults to None, so :func:`_params` passes only the flags given."""
+    for name, check in PARAMETER_CHECKS.items():
+        flags = sweeps if name == "sweeps" else {"--" + name.replace("_", "-"): None}
+        for flag, text in flags.items():
+            parser.add_argument(flag, type=_checked(check), default=None, help=text)
 
 
 def _build_parser() -> _Parser:
@@ -127,7 +123,7 @@ def _build_parser() -> _Parser:
 
     export = sub.add_parser("export-qubo", help="write an instance's QUBO in sparse text form")
     export.add_argument("instance", type=Path)
-    export.add_argument("--penalty-factor", type=_PENALTY_FACTOR,
+    export.add_argument("--penalty-factor", type=_checked(PARAMETER_CHECKS["penalty_factor"]),
                         default=DEFAULT_PENALTY_FACTOR)
     export.add_argument("--out", type=Path, default=None, help="target file (default: stdout)")
 

@@ -197,15 +197,8 @@ def _solve_leaf(leaf, group, disk, config, seed, key, first_seed=None):
 def check_merge_size(n: int, config: DecompositionConfig) -> None:
     """``ValueError`` if ``n`` blades make more groups than ``config``'s merge
     solver takes (:func:`check_blade_count`). The count depends only on ``n``
-    and the cap: a group above the cap splits, as :func:`split` cuts it, into
-    halves of ceil(size / 2) and floor(size / 2) blades."""
-
-    def groups(size):
-        if size <= config.max_subproblem:
-            return 1
-        return groups((size + 1) // 2) + groups(size // 2)
-
-    count = groups(n)
+    and the cap: it is the leaf count of the tree :func:`_build_tree` cuts."""
+    count = len(_build_tree(range(1, n + 1), config.max_subproblem).leaves())
     try:
         check_blade_count(config.merge_solver, count)
     except ValueError as err:

@@ -37,8 +37,6 @@ from .model import (
 )
 
 DEFAULT_PENALTY_FACTOR = 10.0
-#: edge of the square tiles the in-place symmetrization walks (512 KiB each)
-SYMMETRIZE_TILE = 256
 #: entry lines :func:`load_qubo_export` parses at a time, about 110 KiB of export
 #: text; larger chunks parse no faster and leave more memory held after a load
 EXPORT_CHUNK_LINES = 1 << 12
@@ -177,33 +175,17 @@ def objective_matrix_termwise(blades: BladeSet, disk: DiskImbalance) -> np.ndarr
     return q
 
 
-def _symmetrize(a: np.ndarray):
-    """Replace the square matrix ``a`` by 0.5 * (a + a^T), bit for bit, in
-    place: one tile of the upper triangle at a time, mirrored into the lower
-    one, so the only temporary is one tile."""
-    dim = a.shape[0]
-    t = SYMMETRIZE_TILE
-    buffer = np.empty((min(t, dim), min(t, dim)))
-    for r in range(0, dim, t):
-        for c in range(r, dim, t):
-            upper = a[r:r + t, c:c + t]
-            lower = a[c:c + t, r:r + t]
-            tile = buffer[:upper.shape[0], :upper.shape[1]]
-            np.add(upper, lower.T, out=tile)
-            tile *= 0.5
-            upper[...] = tile
-            lower[...] = tile.T
-
-
 def _fill_objective(out: np.ndarray, blades: BladeSet, disk: DiskImbalance) -> np.ndarray:
     """Write the objective matrix q^T q + 2 diag(y^T q), with q the
     2 x N^2 matrix whose column (i, j) is m_i * z_j, into ``out`` and return
-    a view of its diagonal. Symmetry is enforced exactly."""
+    a view of its diagonal."""
     n = blades.n
     z = SlotGeometry(n).unit_vectors()
     q = (blades.masses[:, None, None] * z[None, :, :]).reshape(n * n, 2).T
+    # both operands are views of one buffer, so numpy computes the product as
+    # a symmetric rank-k update (BLAS syrk) and mirrors one triangle: the
+    # result is exactly symmetric, as a general product need not be
     np.matmul(q.T, q, out=out)
-    _symmetrize(out)
     diagonal = np.einsum("ii->i", out)
     diagonal += 2.0 * (disk.vector @ q)
     return diagonal
@@ -458,14 +440,21 @@ def _write_export(problem: QuboProblem, fh):
     # one numpy pass and one write per matrix row, so the text never sits in memory as a whole
     q = problem.matrix
     fh.write(f"# dim {problem.dimension} offset {float(problem.constant_offset)!r}\n")
-    for i in range(problem.dimension):
-        row = q[i, i:]
-        offsets = np.flatnonzero(row)
-        values = row[offsets]
-        values[int(row[0] != 0.0):] *= 2.0  # the diagonal, offset 0, stays undoubled
-        fh.write("".join([
-            f"{i} {j} {v!r}\n" for j, v in zip((offsets + i).tolist(), values.tolist())
-        ]))
+    try:
+        with np.errstate(over="raise"):  # a finite element whose coefficient overflows
+            for i in range(problem.dimension):
+                row = q[i, i:]
+                offsets = np.flatnonzero(row)
+                values = row[offsets]
+                values[int(row[0] != 0.0):] *= 2.0  # the diagonal, offset 0, stays undoubled
+                fh.write("".join([
+                    f"{i} {j} {v!r}\n" for j, v in zip((offsets + i).tolist(), values.tolist())
+                ]))
+    except FloatingPointError:
+        above = np.isfinite(row[1:]) & (np.abs(row[1:]) > np.finfo(np.float64).max / 2)
+        j = i + 1 + int(np.argmax(above))
+        raise ValueError(f"cannot export row {i}, column {j}: its coefficient, twice "
+                         f"{float(q[i, j])!r}, overflows float64") from None
 
 
 def load_qubo_export(path):

@@ -445,18 +445,6 @@ SOLVERS = {
 }
 
 
-#: The bound of each keyword parameter of a :data:`SOLVERS` entry: a function
-#: that returns the value it accepts and raises ``ValueError`` for any other.
-#: The solvers call these themselves; :func:`check_parameters` applies them
-#: before any run.
-PARAMETER_CHECKS = {
-    "sweeps": check_count,
-    "tenure": check_count,
-    "max_iterations": check_count,
-    "penalty_factor": check_penalty_factor,
-}
-
-
 #: The most blades a solver takes; a solver not listed, decompose too, takes any N >= 1.
 BLADE_LIMITS = {"brute-force": BRUTE_FORCE_LIMIT}
 
@@ -475,6 +463,30 @@ def get_solver(name: str, registry: dict = SOLVERS):
         return registry[name]
     except KeyError:
         raise ValueError(f"unknown solver {name!r}; available: {sorted(registry)}") from None
+
+
+def check_solver(name: str) -> str:
+    """``name`` if it names a :data:`SOLVERS` entry, looked up at call time;
+    :func:`get_solver`'s ``ValueError`` listing the choices otherwise."""
+    get_solver(name)
+    return name
+
+
+#: The bound of each scalar parameter that a solver flag sets: a function that
+#: returns the value it accepts and raises ``ValueError`` for any other. The
+#: keys are the keyword parameters of the :data:`SOLVERS` entries and the
+#: scalar fields of decompose's config; the CLI makes one flag of each, in
+#: this order. The solvers call these themselves; :func:`check_parameters`
+#: applies them before any run.
+PARAMETER_CHECKS = {
+    "sweeps": check_count,
+    "penalty_factor": check_penalty_factor,
+    "tenure": check_count,
+    "max_iterations": check_count,
+    "max_subproblem": check_count,
+    "sub_solver": check_solver,
+    "merge_solver": check_solver,
+}
 
 
 def keyword_parameters(entry) -> list:

@@ -32,6 +32,7 @@ from turbobalance.bench import (
     load_corpus,
     read_records_csv,
     run_seed,
+    solver_parameters,
     to_json,
     write_csv,
 )
@@ -370,8 +371,25 @@ def _count_calls(monkeypatch, solver):
 
 
 def test_every_registry_parameter_has_a_check():
-    # a new solver parameter without a bound would reach the runs unchecked
-    assert set(PARAMETER_CHECKS) == set().union(*map(keyword_parameters, SOLVERS.values()))
+    # a new solver parameter without a bound would reach the runs unchecked;
+    # decompose's per-role parameter dicts are checked against their solvers
+    taken = set().union(*map(solver_parameters, BENCH_SOLVERS))
+    assert set(PARAMETER_CHECKS) == taken - {"sub_solver_params", "merge_solver_params"}
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("max_subproblem", 0, "must be an integer of at least 1, got 0"),
+    ("max_subproblem", "x", "must be an integer of at least 1, got 'x'"),
+    ("sub_solver", "x", "unknown solver 'x'; available: "),
+    ("merge_solver", "decompose", "unknown solver 'decompose'; available: "),
+])
+def test_a_decompose_field_outside_its_bound_fails_before_any_run(monkeypatch, name, value,
+                                                                   message):
+    monkeypatch.setattr(turbobalance.bench, "_execute_run", lambda task: pytest.fail("a run started"))
+    bound = f"solver 'decompose', parameter {name!r}: {message}"
+    with pytest.raises(ValueError, match=re.escape(bound)):
+        run_benchmark(_tiny_corpus(), ["decompose"], repetitions=1,
+                      solver_params={"decompose": {name: value}})
 
 
 def _library_call(name, value):

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 from conftest import same_name_manifest
 from turbobalance import decode, generate
 from turbobalance.bench import BENCH_SOLVERS
-from turbobalance.cli import main
+from turbobalance.cli import _build_parser, main
 from turbobalance.datasets import write_manifest
-from turbobalance.solvers import SOLVERS, check_count
+from turbobalance.solvers import PARAMETER_CHECKS, SOLVERS, check_count
 
 
 def run_cli(argv):
@@ -413,6 +414,9 @@ def test_bench_refuses_an_empty_or_repeated_solver_list_before_any_output(tmp_pa
     ("decompose", "--max-subproblem", "x"),
     ("imbalance-sa", "--sweeps", "2.5"),
     ("tabu", "--max-iterations", "1e3"),
+    ("decompose", "--sub-solver", "decompose"),  # decompose is not its own sub-solver
+    ("decompose", "--merge-solver", "x"),
+    ("decompose", "--penalty-factor", "1"),
 ])
 def test_a_non_integer_count_flag_fails_at_parse_time_with_the_library_message(
         tmp_path, capsys, solver, flag, value):
@@ -420,7 +424,41 @@ def test_a_non_integer_count_flag_fails_at_parse_time_with_the_library_message(
     out = tmp_path / "out.json"
     assert run_cli(["solve", str(path), "--solver", solver, flag, value,
                     "--output", str(out)]) == 1
-    with pytest.raises(ValueError) as library_error:
-        check_count(value)
+    with pytest.raises(ValueError) as library_error:  # the check the flag takes its type from
+        PARAMETER_CHECKS[flag[2:].replace("-", "_")](value)
     assert f"argument {flag}: {library_error.value}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _options(command) -> list:
+    """The option strings of the CLI's ``command`` parser, but the help flags."""
+    (commands,) = [action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return [flag for action in commands.choices[command]._actions
+            for flag in action.option_strings if flag not in ("-h", "--help")]
+
+
+SHARED_SOLVER_FLAGS = ["--penalty-factor", "--tenure", "--max-iterations", "--max-subproblem",
+                       "--sub-solver", "--merge-solver"]
+
+
+@pytest.mark.parametrize("command, sweeps, others", [
+    ("solve", ["--sweeps"], ["--solver", "--seed", "--trace", "--output"]),
+    ("bench", ["--sa-sweeps", "--qubo-sweeps"],
+     ["--manifest", "--solvers", "--repetitions", "--base-seed", "--jobs", "--format", "--out",
+      "--summary"]),
+])
+def test_solve_and_bench_have_one_solver_flag_per_parameter_check(command, sweeps, others):
+    table = [flag for name in PARAMETER_CHECKS
+             for flag in (sweeps if name == "sweeps" else ["--" + name.replace("_", "-")])]
+    assert sorted(table) == sorted(sweeps + SHARED_SOLVER_FLAGS)
+    assert sorted(_options(command)) == sorted(others + table)
+
+
+def test_a_new_parameter_check_is_a_new_solver_flag(monkeypatch):
+    monkeypatch.setitem(PARAMETER_CHECKS, "restart_count", check_count)
+    for command in ("solve", "bench"):
+        assert _options(command).count("--restart-count") == 1
+    args = _build_parser().parse_args(["solve", "x.json", "--solver", "tabu",
+                                       "--restart-count", "3"])
+    assert args.restart_count == 3

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,8 +26,6 @@ from turbobalance import (
 from turbobalance.model import SlotGeometry
 from turbobalance.qubo import (
     EXPORT_CHUNK_LINES,
-    SYMMETRIZE_TILE,
-    _symmetrize,
     load_qubo_export,
     objective_matrix_termwise,
 )
@@ -113,25 +112,11 @@ def _kron_build(blades, disk, penalty_factor):
 @pytest.mark.parametrize("with_disk", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 23])
 def test_in_place_build_equals_kron_construction(n, with_disk, factor):
-    # dims 1..529 fall below, on and above one symmetrization tile, and
-    # 289 and 529 are not multiples of it
-    assert SYMMETRIZE_TILE == 256
     blades, disk = random_instance(np.random.default_rng(100 + n), n, with_disk=with_disk)
     problem = build_qubo(blades, disk, penalty_factor=factor)
     objective, matrix = _kron_build(blades, disk, factor)
     assert np.array_equal(problem.matrix, matrix)
     assert np.array_equal(problem.objective_matrix, objective)
-
-
-@pytest.mark.parametrize("dim", [1, 5, 255, 256, 257, 529])
-def test_tiled_symmetrize_equals_half_the_sum_with_the_transpose(dim):
-    # q^T q comes out of BLAS symmetric already, so the builder's inputs
-    # cannot show a tile that is skipped or mirrored wrongly; these can
-    assert SYMMETRIZE_TILE == 256
-    a = np.random.default_rng(dim).normal(size=(dim, dim))
-    expected = 0.5 * (a + a.T)
-    _symmetrize(a)
-    assert np.array_equal(a, expected)
 
 
 def test_in_place_build_peaks_at_one_matrix():
@@ -148,11 +133,13 @@ def test_in_place_build_peaks_at_one_matrix():
 
 
 def test_matrix_is_exactly_symmetric():
-    rng = np.random.default_rng(22)
-    blades, disk = random_instance(rng, 7, with_disk=True)
-    problem = build_qubo(blades, disk)
-    assert np.array_equal(problem.matrix, problem.matrix.T)
-    assert np.array_equal(problem.objective_matrix, problem.objective_matrix.T)
+    # nothing symmetrizes the product: it is exact because the builder
+    # multiplies q^T by q as two views of one buffer
+    for n in (7, 17, 23, 40):
+        blades, disk = random_instance(np.random.default_rng(22), n, with_disk=True)
+        problem = build_qubo(blades, disk)
+        assert np.array_equal(problem.matrix, problem.matrix.T), n
+        assert np.array_equal(problem.objective_matrix, problem.objective_matrix.T), n
 
 
 def test_encode_goldens():
@@ -551,19 +538,27 @@ class CountingBuffer(io.StringIO):
         return super().write(text)
 
 
-def unusual_problem():
-    """A symmetric dim-9 matrix of special values: signed zeros, NaN, infinities,
-    subnormals, an off-diagonal 5e307 (doubled to 1e308) and 1e308 (doubled to
-    inf), zeros on the diagonal and an all-zero row (7)."""
-    entries = {
-        (0, 0): -0.0, (0, 1): np.nan, (0, 2): np.inf, (0, 3): -np.inf, (1, 1): 5e-324,
-        (1, 2): 5e307, (1, 3): -0.0, (1, 8): 1e308, (2, 2): np.nan, (2, 4): -5e307,
-        (3, 3): np.inf, (4, 5): 1e-310, (5, 5): -np.inf, (5, 8): -1e308, (6, 8): 3.5,
-    }
+#: the largest element whose doubled coefficient is finite
+HALF_MAX = np.finfo(np.float64).max / 2
+
+
+def hand_built_problem(entries: dict):
+    """A dim-9 problem whose matrix is ``entries`` ((i, j) -> value), mirrored."""
     q = np.zeros((9, 9))
     for (i, j), v in entries.items():
         q[i, j] = q[j, i] = v
     return dataclasses.replace(build_qubo(BladeSet([1.0, 2.0, 3.0]), DiskImbalance()), matrix=q)
+
+
+def unusual_problem():
+    """A symmetric dim-9 matrix of special values: signed zeros, NaN, infinities,
+    subnormals, an off-diagonal 5e307 (doubled to 1e308) and half the largest
+    float (doubled to the largest), zeros on the diagonal and an all-zero row (7)."""
+    return hand_built_problem({
+        (0, 0): -0.0, (0, 1): np.nan, (0, 2): np.inf, (0, 3): -np.inf, (1, 1): 5e-324,
+        (1, 2): 5e307, (1, 3): -0.0, (1, 8): HALF_MAX, (2, 2): np.nan, (2, 4): -5e307,
+        (3, 3): np.inf, (4, 5): 1e-310, (5, 5): -np.inf, (5, 8): -HALF_MAX, (6, 8): 3.5,
+    })
 
 
 @pytest.mark.parametrize("make_problem", [
@@ -575,14 +570,26 @@ def unusual_problem():
 def test_export_equals_the_per_entry_reference(make_problem):
     problem = make_problem()
     buffer = CountingBuffer()
-    with np.errstate(over="ignore"):  # 2 * 1e308 overflows to inf in both writers
-        export_qubo(problem, buffer)
-        expected = reference_export(problem)
+    export_qubo(problem, buffer)
+    expected = reference_export(problem)
     got = buffer.getvalue()
     # the first differing line: pytest takes minutes to explain two unequal 2 MiB strings
     assert [(a, b) for a, b in zip(got.splitlines(), expected.splitlines()) if a != b][:1] == []
     assert got == expected
     assert buffer.writes == problem.dimension + 1  # the header, then one write per row
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, float(np.nextafter(HALF_MAX, np.inf))])
+def test_export_refuses_an_element_whose_coefficient_overflows(value):
+    # the diagonal is written undoubled, and infinities stay infinite, so
+    # only the finite off-diagonal element at (4, 8) overflows
+    problem = hand_built_problem({(0, 0): 1e308, (1, 2): np.inf, (4, 5): 2.0, (4, 8): value})
+    buffer = io.StringIO()
+    with np.errstate(over="ignore"):  # the raise must not depend on the caller's setting
+        with pytest.raises(ValueError, match=re.escape(f"row 4, column 8: its coefficient, "
+                                                       f"twice {value!r}, overflows")):
+            export_qubo(problem, buffer)
+    assert buffer.getvalue().splitlines()[1:] == ["0 0 1e+308", "1 2 inf"]  # rows before 4
 
 
 def test_export_requires_materialized_matrix(tmp_path):
