@@ -32,8 +32,8 @@ from .model import (
     derive_seed,
     imbalance,
 )
-from .solvers import (SolveReport, check_blade_count, check_count, check_parameters, get_solver,
-                      heuristic_solve, keyword_parameters)
+from .solvers import (PARAMETER_CHECKS, SolveReport, check_blade_count, check_parameters,
+                      get_solver, heuristic_solve, keyword_parameters)
 
 #: Pseudo-mass given to a perfectly balanced group so the merge problem stays
 #: well-formed; placement of such a group is irrelevant to the objective.
@@ -61,9 +61,8 @@ class DecompositionConfig:
     merge_solver_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "max_subproblem", check_count(self.max_subproblem))
-        if self.max_subproblem < 2:
-            raise ValueError(f"max_subproblem must be >= 2, got {self.max_subproblem}")
+        cap = PARAMETER_CHECKS["max_subproblem"](self.max_subproblem)
+        object.__setattr__(self, "max_subproblem", cap)
         try:
             check_blade_count(self.sub_solver, self.max_subproblem)
         except ValueError as err:

@@ -18,6 +18,7 @@ identical reports.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -36,8 +37,8 @@ from .qubo import (
 )
 
 BRUTE_FORCE_LIMIT = 10
-#: permutations brute force evaluates per numpy batch
-BRUTE_FORCE_BATCH = 20000
+#: blades brute force orders in one numpy pass per prefix of the others (7! = 5,040 rows)
+BRUTE_FORCE_TAIL = 7
 #: moves per block of random draws in imbalance-sa; part of its seed contract.
 #: A block's draws and thresholds take about 0.14 MiB. At N = 40 (2,040 moves
 #: a block; 2-core VM, numpy 2.4) drawing a block takes about 90-100 us in all,
@@ -46,19 +47,18 @@ BRUTE_FORCE_BATCH = 20000
 IMBALANCE_SA_BLOCK_MOVES = 2048
 
 
-def check_count(value) -> int:
-    """``value`` as an int if it is an integer of at least 1: a Python or
-    numpy integer (not a bool, not a float) or its decimal text;
+def check_count(value, least: int = 1) -> int:
+    """``value`` as an int if it is an integer of at least ``least``: a
+    Python or numpy integer (not a bool, not a float) or its decimal text;
     ``ValueError`` otherwise. The bound of every count: the sweeps, tenure
-    and iteration budgets and decompose's ``max_subproblem``."""
+    and iteration budgets, and at least 2 for decompose's ``max_subproblem``."""
     integral = isinstance(value, (str, int, np.integer)) and not isinstance(value, bool)
     try:
-        count = int(value) if integral else 0
+        if integral and int(value) >= least:
+            return int(value)
     except ValueError:  # text that is not an integer
-        count = 0
-    if count < 1:
-        raise ValueError(f"must be an integer of at least 1, got {value!r}")
-    return count
+        pass
+    raise ValueError(f"must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass
@@ -376,7 +376,8 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
     Ties exact in floating point go to the smallest sigma. Ties only in exact
     arithmetic, such as the N rotations of a placement on a balanced disk,
     go to whichever d^2 rounds lowest, so which optimal sigma is returned
-    depends on the summation order.
+    depends on the summation order. Assignments are taken in lexicographic
+    order, one numpy pass per prefix of all but the last 7 blades.
 
     Guarded at N <= 10 (10! is ~3.6M evaluations); meant as the oracle for
     tests and small instances, not as a production solver.
@@ -386,25 +387,22 @@ def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:
     z = SlotGeometry(n).unit_vectors()
     m = blades.masses
     y = disk.vector
+    head = n - min(n, BRUTE_FORCE_TAIL)
+    # a block's rows as column indices of [prefix, free slots in ascending order]
+    tails = itertools.permutations(range(head, n))
+    orders = np.array([tuple(range(head)) + tail for tail in tails])
 
-    best_d2 = math.inf
-    best_sigma0 = None
-    count = 0
-    perms = itertools.permutations(range(n))
-    while True:
-        chunk = list(itertools.islice(perms, BRUTE_FORCE_BATCH))
-        if not chunk:
-            break
-        p = np.array(chunk)
+    best_d2, best_sigma0 = math.inf, None
+    for prefix in itertools.permutations(range(n), head):
+        p = np.array(prefix + tuple(s for s in range(n) if s not in prefix))[orders]
         v = (m[None, :, None] * z[p]).sum(axis=1) + y
         d2 = (v * v).sum(axis=1)
         i = int(np.argmin(d2))
         if d2[i] < best_d2:  # strict: earlier (lexicographically smaller) wins ties
             best_d2 = float(d2[i])
-            best_sigma0 = chunk[i]
-        count += len(chunk)
+            best_sigma0 = p[i]
 
-    return SolveReport.of_assignment(blades, disk, Assignment(np.asarray(best_sigma0) + 1), count)
+    return SolveReport.of_assignment(blades, disk, Assignment(best_sigma0 + 1), math.factorial(n))
 
 
 def _run_heuristic(blades, disk, seed):
@@ -483,7 +481,7 @@ PARAMETER_CHECKS = {
     "penalty_factor": check_penalty_factor,
     "tenure": check_count,
     "max_iterations": check_count,
-    "max_subproblem": check_count,
+    "max_subproblem": functools.partial(check_count, least=2),
     "sub_solver": check_solver,
     "merge_solver": check_solver,
 }
@@ -497,14 +495,16 @@ def keyword_parameters(entry) -> list:
 
 
 def check_parameters(solver: str, accepted: list, params: dict) -> None:
-    """``ValueError`` unless every parameter in ``params`` is one of
+    """``ValueError`` unless ``params`` is a dict, each of its parameters is one of
     ``accepted``, the names ``solver`` takes, and its value passes its
-    :data:`PARAMETER_CHECKS` entry, if it has one."""
+    :data:`PARAMETER_CHECKS` entry, if any: a ``TypeError`` fails it too."""
+    if not isinstance(params, dict):
+        raise ValueError(f"solver {solver!r} takes its parameters as a dict, got {params!r}")
     for name, value in params.items():
         if name not in accepted:
             raise ValueError(f"solver {solver!r} takes no parameter {name!r}; it takes {accepted}")
         if name in PARAMETER_CHECKS:
             try:
                 PARAMETER_CHECKS[name](value)
-            except ValueError as err:
+            except (TypeError, ValueError) as err:
                 raise ValueError(f"solver {solver!r}, parameter {name!r}: {err}") from None

@@ -378,8 +378,9 @@ def test_every_registry_parameter_has_a_check():
 
 
 @pytest.mark.parametrize("name, value, message", [
-    ("max_subproblem", 0, "must be an integer of at least 1, got 0"),
-    ("max_subproblem", "x", "must be an integer of at least 1, got 'x'"),
+    ("max_subproblem", 0, "must be an integer of at least 2, got 0"),
+    ("max_subproblem", 1, "must be an integer of at least 2, got 1"),
+    ("max_subproblem", "x", "must be an integer of at least 2, got 'x'"),
     ("sub_solver", "x", "unknown solver 'x'; available: "),
     ("merge_solver", "decompose", "unknown solver 'decompose'; available: "),
 ])
@@ -390,6 +391,23 @@ def test_a_decompose_field_outside_its_bound_fails_before_any_run(monkeypatch, n
     with pytest.raises(ValueError, match=re.escape(bound)):
         run_benchmark(_tiny_corpus(), ["decompose"], repetitions=1,
                       solver_params={"decompose": {name: value}})
+
+
+@pytest.mark.parametrize("solver, params, message", [
+    ("qubo-sa", {"penalty_factor": None}, "solver 'qubo-sa', parameter 'penalty_factor': "),
+    ("decompose", {"sub_solver": ["x"]}, "solver 'decompose', parameter 'sub_solver': "),
+    ("decompose", {"sub_solver_params": None},
+     "solver 'decompose': sub_solver_params: solver 'qubo-sa' takes its parameters as a dict, "
+     "got None"),
+    ("decompose", {"merge_solver_params": [1]},
+     "solver 'decompose': merge_solver_params: solver 'qubo-sa' takes its parameters as a dict, "
+     "got [1]"),
+], ids=["penalty-none", "sub-solver-list", "sub-params-none", "merge-params-list"])
+def test_a_parameter_of_the_wrong_type_fails_with_the_bound_error_before_any_run(
+        monkeypatch, solver, params, message):
+    monkeypatch.setattr(turbobalance.bench, "_execute_run", lambda task: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        run_benchmark(_tiny_corpus(), [solver], repetitions=1, solver_params={solver: params})
 
 
 def _library_call(name, value):

@@ -412,6 +412,7 @@ def test_bench_refuses_an_empty_or_repeated_solver_list_before_any_output(tmp_pa
 @pytest.mark.parametrize("solver, flag, value", [
     ("decompose", "--max-subproblem", "2.5"),
     ("decompose", "--max-subproblem", "x"),
+    ("decompose", "--max-subproblem", "1"),  # an integer below the cap's bound of 2
     ("imbalance-sa", "--sweeps", "2.5"),
     ("tabu", "--max-iterations", "1e3"),
     ("decompose", "--sub-solver", "decompose"),  # decompose is not its own sub-solver

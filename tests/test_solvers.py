@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import time
 import tracemalloc
@@ -567,6 +568,70 @@ def test_brute_force_tie_break_is_lexicographic():
     # every permutation of equal masses is optimal; the smallest wins
     report = brute_force_solve(BladeSet([2.0, 2.0, 2.0]), DiskImbalance())
     assert report.assignment.sigma.tolist() == [1, 2, 3]
+
+
+def reference_brute_force(blades, disk):
+    """The chunk loop that the prefix-block enumeration replaced, kept as the
+    reference for its report: lists of 20,000 permutation tuples, one numpy
+    pass each, the first minimum in lexicographic order kept."""
+    n = blades.n
+    z = SlotGeometry(n).unit_vectors()
+    m = blades.masses
+    y = disk.vector
+    best_d2, best_sigma0, count = math.inf, None, 0
+    perms = itertools.permutations(range(n))
+    while True:
+        chunk = list(itertools.islice(perms, 20000))
+        if not chunk:
+            break
+        p = np.array(chunk)
+        v = (m[None, :, None] * z[p]).sum(axis=1) + y
+        d2 = (v * v).sum(axis=1)
+        i = int(np.argmin(d2))
+        if d2[i] < best_d2:
+            best_d2 = float(d2[i])
+            best_sigma0 = chunk[i]
+        count += len(chunk)
+    return solvers.SolveReport.of_assignment(blades, disk, Assignment(np.asarray(best_sigma0) + 1),
+                                             count)
+
+
+def _oracle_instance(n, masses, with_disk):
+    rng = np.random.default_rng(10 * n + with_disk)
+    values = {
+        "random": lambda: rng.normal(1.0e4, 100.0, n),
+        "small-integer": lambda: rng.integers(1, 5, n).astype(float),  # many exact ties
+        "equal": lambda: np.full(n, 7.0),
+    }[masses]()
+    disk = (DiskImbalance(float(rng.uniform(0.0, 500.0)), float(rng.uniform(0.0, 2 * np.pi)))
+            if with_disk else DiskImbalance())
+    return BladeSet(values), disk
+
+
+@pytest.mark.parametrize("n, masses, with_disk", [
+    (n, masses, with_disk)
+    for n in range(1, 9)
+    for masses in ("random", "small-integer", "equal")
+    for with_disk in (False, True)
+] + [(9, "small-integer", False)])
+def test_brute_force_equals_the_chunk_loop_reference(n, masses, with_disk):
+    blades, disk = _oracle_instance(n, masses, with_disk)
+    report, expected = brute_force_solve(blades, disk), reference_brute_force(blades, disk)
+    assert report.assignment == expected.assignment
+    assert report.imbalance == expected.imbalance
+    assert report.iterations == expected.iterations == math.factorial(n)
+
+
+def test_brute_force_keeps_the_first_minimum_tied_across_prefix_blocks():
+    blades, disk = BladeSet(np.ones(8)), DiskImbalance()
+    # d^2 rounds to its minimum under several first blades, so in several prefix blocks
+    z = SlotGeometry(8).unit_vectors()
+    p = np.array(list(itertools.permutations(range(8))))
+    d2 = (z[p].sum(axis=1) ** 2).sum(axis=1)
+    assert len(set(p[d2 == d2.min(), 0].tolist())) > 1
+    report, expected = brute_force_solve(blades, disk), reference_brute_force(blades, disk)
+    assert report.assignment == expected.assignment
+    assert report.imbalance == expected.imbalance
 
 
 def test_brute_force_rejects_oversized_instance():
