@@ -128,7 +128,8 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
 
     ``instances`` is a list of (name, BladeSet, DiskImbalance). Bad input
     raises ``ValueError`` before anything runs: ``repetitions`` or ``jobs``
-    below 1, an empty or repeated solver list, an unknown solver, parameters
+    below 1, an empty or repeated solver list, an unknown solver,
+    ``solver_params`` that is not a dict, parameters
     (``solver_params[solver]``) that a solver does not take or whose value
     fails its bound (:data:`~turbobalance.solvers.PARAMETER_CHECKS`), and an
     instance with more blades, or decompose groups, than a solver takes
@@ -136,7 +137,9 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
     runs execute in a process pool; the record order stays deterministic.
     """
     solvers = list(solvers)
-    params = solver_params or {}
+    params = {} if solver_params is None else solver_params
+    if not isinstance(params, dict):
+        raise ValueError(f"solver_params maps each solver to its parameters; got {params!r}")
     repetitions, jobs = check_count(repetitions), check_count(jobs)
     if not solvers:
         raise ValueError("no solver given")

@@ -51,7 +51,9 @@ class DecompositionConfig:
     per group, so it can be larger than the cap), and each must take the
     blades it gets (:func:`check_blade_count`). ``sub_solver_params`` and
     ``merge_solver_params`` may hold only parameters of that solver's
-    registry entry, each within its bound (:func:`check_parameters`).
+    registry entry, each within its bound (:func:`check_parameters`). The
+    scalar fields are checked first (:data:`PARAMETER_CHECKS`); a
+    ``ValueError`` names the field that fails.
     """
 
     max_subproblem: int = 5
@@ -61,8 +63,12 @@ class DecompositionConfig:
     merge_solver_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        cap = PARAMETER_CHECKS["max_subproblem"](self.max_subproblem)
-        object.__setattr__(self, "max_subproblem", cap)
+        for name in ("max_subproblem", "sub_solver", "merge_solver"):
+            try:
+                value = PARAMETER_CHECKS[name](getattr(self, name))
+            except ValueError as err:
+                raise ValueError(f"{name}: {err}") from None
+            object.__setattr__(self, name, value)
         try:
             check_blade_count(self.sub_solver, self.max_subproblem)
         except ValueError as err:

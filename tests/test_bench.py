@@ -410,6 +410,14 @@ def test_a_parameter_of_the_wrong_type_fails_with_the_bound_error_before_any_run
         run_benchmark(_tiny_corpus(), [solver], repetitions=1, solver_params={solver: params})
 
 
+@pytest.mark.parametrize("solver_params", [[1], [], "heuristic"])
+def test_solver_params_that_is_not_a_dict_fails_before_any_run(monkeypatch, solver_params):
+    calls = _count_calls(monkeypatch, "heuristic")
+    with pytest.raises(ValueError, match=re.escape(f"got {solver_params!r}")):
+        run_benchmark(_tiny_corpus(), ["heuristic"], repetitions=1, solver_params=solver_params)
+    assert calls == []
+
+
 def _library_call(name, value):
     """Call the library function that checks parameter ``name`` with ``value``."""
     blades, disk = random_instance(np.random.default_rng(3), 4)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,17 @@ def test_config_validation():
         DecompositionConfig(merge_solver="nope")
     with pytest.raises(ValueError, match="N=10.*got 11"):
         DecompositionConfig(max_subproblem=11, sub_solver="brute-force")
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"max_subproblem": 1}, "max_subproblem: must be an integer of at least 2, got 1"),
+    ({"max_subproblem": "x"}, "max_subproblem: must be an integer of at least 2, got 'x'"),
+    ({"sub_solver": ["x"]}, "sub_solver: unknown solver ['x']; available: "),
+    ({"merge_solver": {"x": 1}}, "merge_solver: unknown solver {'x': 1}; available: "),
+], ids=["cap-1", "cap-text", "sub-list", "merge-dict"])
+def test_a_config_field_outside_its_bound_fails_with_its_name(config, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        DecompositionConfig(**config)
 
 
 def test_config_takes_max_subproblem_as_decimal_text():

@@ -279,6 +279,81 @@ def test_a_zero_uniform_accepts_its_move_without_a_warning(monkeypatch):
     assert reports[2].configuration.bits.shape == (36,)
 
 
+def reference_imbalance_sa(blades, disk, schedule, seed):
+    """The move loop that the x-first rejection replaced, kept as the reference
+    for its report: the same draws per block, and ``ny`` computed for every
+    move before the one acceptance test."""
+    n = blades.n
+    rng = np.random.default_rng(seed)
+    sigma = heuristic_solve(blades).slots0.tolist()
+    z = SlotGeometry(n).unit_vectors()
+    zx = z[:, 0].tolist()
+    zy = z[:, 1].tolist()
+    m = blades.masses.tolist()
+    ux = float(disk.vector[0]) + sum(m[i] * zx[sigma[i]] for i in range(n))
+    uy = float(disk.vector[1]) + sum(m[i] * zy[sigma[i]] for i in range(n))
+    d2 = ux * ux + uy * uy
+
+    best_d2 = d2
+    best_sigma = sigma.copy()
+
+    temperatures = schedule.temperatures()
+    block = max(1, IMBALANCE_SA_BLOCK_MOVES // n)
+    for done in range(0, len(temperatures), block):
+        t = temperatures[done:done + block, None]
+        first = rng.integers(0, n, size=(len(t), n))
+        second = rng.integers(0, n - 1, size=(len(t), n))
+        second += second >= first
+        with np.errstate(divide="ignore"):
+            threshold = -t * np.log(rng.random((len(t), n)))
+        for a, b, th in zip(first.ravel().tolist(), second.ravel().tolist(),
+                            threshold.ravel().tolist()):
+            sa = sigma[a]
+            sb = sigma[b]
+            dm = m[a] - m[b]
+            nx = ux + dm * (zx[sb] - zx[sa])
+            ny = uy + dm * (zy[sb] - zy[sa])
+            nd2 = nx * nx + ny * ny
+            if nd2 - d2 < th:
+                sigma[a] = sb
+                sigma[b] = sa
+                ux, uy, d2 = nx, ny, nd2
+                if d2 < best_d2:
+                    best_d2 = d2
+                    best_sigma = sigma.copy()
+
+    return solvers.SolveReport.of_assignment(
+        blades, disk, Assignment(np.asarray(best_sigma) + 1), schedule.sweeps * n
+    )
+
+
+def _assert_same_walk(blades, disk, seed):
+    # two full blocks and a partial one, so the walk crosses block boundaries
+    block = max(1, IMBALANCE_SA_BLOCK_MOVES // blades.n)
+    schedule = default_imbalance_schedule(blades, disk, 2 * block + 7)
+    report = imbalance_sa_solve(blades, disk, schedule, seed=seed)
+    expected = reference_imbalance_sa(blades, disk, schedule, seed)
+    assert report.assignment == expected.assignment
+    assert repr(report.imbalance) == repr(expected.imbalance)
+    assert report.iterations == expected.iterations
+
+
+@pytest.mark.parametrize("with_disk", [False, True])
+@pytest.mark.parametrize("masses", ["random", "small-integer", "equal"])
+@pytest.mark.parametrize("n", range(2, 41))
+def test_imbalance_sa_equals_the_full_test_reference(n, masses, with_disk):
+    blades, disk = _oracle_instance(n, masses, with_disk)
+    _assert_same_walk(blades, disk, seed=n)
+
+
+@pytest.mark.parametrize("masses", ["random", "small-integer", "equal"])
+@pytest.mark.parametrize("n", [2, 5, 20, 40])
+def test_imbalance_sa_equals_the_reference_on_infinite_thresholds(monkeypatch, n, masses):
+    blades, disk = _oracle_instance(n, masses, with_disk=True)
+    monkeypatch.setattr(np.random, "default_rng", _SomeZeroUniforms)
+    _assert_same_walk(blades, disk, seed=3)
+
+
 def test_imbalance_sa_runs_the_heuristic_once(monkeypatch):
     blades, disk = random_instance(np.random.default_rng(6), 9, with_disk=True)
     calls = []
