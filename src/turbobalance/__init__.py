@@ -32,7 +32,7 @@ from .solvers import (
     tabu_solve,
 )
 from .decompose import DecompositionConfig, DecompositionTrace, decompose_solve, split
-from .datasets import InstanceFile, generate, load, load_instance, standard_corpus
+from .datasets import InstanceFile, generate, load_instance, standard_corpus
 from .bench import RunRecord, SummaryRow, run_benchmark, summarize
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "imbalance",
     "imbalance_sa_solve",
     "imbalance_squared_cosform",
-    "load",
     "load_instance",
     "min_penalties",
     "qubo_energy",

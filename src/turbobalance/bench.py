@@ -126,9 +126,10 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
                    solver_params=None, jobs: int = 1):
     """Yield one RunRecord per scheduled run, in schedule order.
 
-    ``instances`` is a list of (name, BladeSet, DiskImbalance). Bad input
+    ``instances`` is an iterable of (name, BladeSet, DiskImbalance). Bad input
     raises ``ValueError`` before anything runs: ``repetitions`` or ``jobs``
-    below 1, an empty or repeated solver list, an unknown solver,
+    below 1, an empty or repeated solver list, an instance name given
+    twice, an unknown solver,
     ``solver_params`` that is not a dict, parameters
     (``solver_params[solver]``) that a solver does not take or whose value
     fails its bound (:data:`~turbobalance.solvers.PARAMETER_CHECKS`), and an
@@ -136,13 +137,17 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
     (:func:`~turbobalance.solvers.check_blade_count`). With ``jobs`` > 1 the
     runs execute in a process pool; the record order stays deterministic.
     """
-    solvers = list(solvers)
+    instances, solvers = list(instances), list(solvers)
     params = {} if solver_params is None else solver_params
     if not isinstance(params, dict):
         raise ValueError(f"solver_params maps each solver to its parameters; got {params!r}")
     repetitions, jobs = check_count(repetitions), check_count(jobs)
     if not solvers:
         raise ValueError("no solver given")
+    names = [name for name, _blades, _disk in instances]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # the runs would share seeds and summary cells
+            raise ValueError(f"instance {name!r} is given twice")
     for i, solver in enumerate(solvers):
         if solver in solvers[:i]:
             raise ValueError(f"solver {solver!r} is given twice")
@@ -199,35 +204,23 @@ def summarize(records) -> list:
     records = list(records)
     if not records:
         raise ValueError("cannot summarize an empty record set")
-    order = []
-    groups = {}
+    groups = {}  # insertion order is the cell order
     for record in records:
-        key = (record.instance, record.solver)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record)
+        groups.setdefault((record.instance, record.solver), []).append(record)
 
     rows = []
-    for key in order:
-        cell = groups[key]
-        values = [r.imbalance for r in cell if r.valid]
-        wall = sum(r.wall_time_ms for r in cell) / len(cell)
-        if values:
-            arr = np.asarray(values)
-            row = SummaryRow(
-                instance=key[0],
-                solver=key[1],
-                valid_count=len(values),
-                mean_imbalance=float(arr.mean()),
-                std_imbalance=float(arr.std(ddof=1)) if len(values) >= 2 else None,
-                min_imbalance=float(arr.min()),
-                max_imbalance=float(arr.max()),
-                mean_wall_time_ms=wall,
-            )
-        else:
-            row = SummaryRow(key[0], key[1], 0, None, None, None, None, wall)
-        rows.append(row)
+    for (instance, solver), cell in groups.items():
+        arr = np.asarray([r.imbalance for r in cell if r.valid], dtype=float)
+        rows.append(SummaryRow(
+            instance=instance,
+            solver=solver,
+            valid_count=arr.size,
+            mean_imbalance=float(arr.mean()) if arr.size else None,
+            std_imbalance=float(arr.std(ddof=1)) if arr.size >= 2 else None,
+            min_imbalance=float(arr.min()) if arr.size else None,
+            max_imbalance=float(arr.max()) if arr.size else None,
+            mean_wall_time_ms=sum(r.wall_time_ms for r in cell) / len(cell),
+        ))
     return rows
 
 

@@ -243,12 +243,6 @@ def load_instance(path) -> InstanceFile:
     return InstanceFile(name=name, masses=masses, m0=m0, phi0=phi0, provenance=provenance)
 
 
-def load(path):
-    """Instance file -> (BladeSet, DiskImbalance)."""
-    instance = load_instance(path)
-    return instance.blade_set(), instance.disk()
-
-
 def write_manifest(directory, names) -> Path:
     directory = Path(directory)
     doc = {"instances": [{"name": name, "file": f"{name}.json"} for name in names]}

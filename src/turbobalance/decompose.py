@@ -311,8 +311,9 @@ def decompose_solve(
 
     When the instance already fits under the cap no split happens: the root
     is the one leaf, solved on ``disk`` with its first attempt run on
-    ``seed`` itself, so the result is the sub-solver's answer on the full
-    problem and the two calls are interchangeable; this includes N = 1.
+    ``seed`` itself, and its report is returned as it is: the sub-solver's
+    answer on the full problem, so the two calls are interchangeable; this
+    includes N = 1.
     Otherwise a merge solver that cannot take the tree's leaf count raises
     ``ValueError`` (:func:`check_merge_size`) before any leaf is solved.
     """
@@ -325,9 +326,7 @@ def decompose_solve(
     if n <= config.max_subproblem:
         root = TraceNode(blades=tuple(range(1, n + 1)), rotation=0.0)
         _solve_leaf(root, blades, disk, config, seed, ("root",), first_seed=seed)
-        final = SolveReport.of_assignment(blades, disk, root.report.assignment,
-                                          root.report.iterations)
-        return final, DecompositionTrace(root)
+        return root.report, DecompositionTrace(root)
 
     # group blades by their heuristic slot, then cut by position parity
     ordered_ids = (np.argsort(heuristic_solve(blades).slots0) + 1).tolist()

@@ -53,9 +53,6 @@ class BladeSet:
     def n(self) -> int:
         return int(self.masses.size)
 
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
 
 @dataclass(frozen=True)
 class DiskImbalance:
@@ -101,10 +98,6 @@ class SlotGeometry:
         if n < 1:
             raise ValueError(f"need at least one slot, got {n}")
         object.__setattr__(self, "n_slots", n)
-
-    @property
-    def step(self) -> float:
-        return TWO_PI / self.n_slots
 
     def angles(self) -> np.ndarray:
         """Slot angles [phi_1..phi_N], phi_j = 2*pi*(j-1)/N."""

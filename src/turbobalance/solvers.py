@@ -154,20 +154,6 @@ def default_imbalance_schedule(
     return AnnealSchedule(t_initial, 1e-8 * t_initial, sweeps)
 
 
-def swap_delta(masses, zx, zy, sigma0, ux, uy, a, b):
-    """Change of d^2 when blades a and b (0-based) trade slots.
-
-    Swapping moves the residual vector by (m_a - m_b) * (z_sigma(b) -
-    z_sigma(a)); the new squared norm minus the old one is the delta. O(1)
-    regardless of N; must agree with full recomputation.
-    """
-    sa, sb = sigma0[a], sigma0[b]
-    dm = masses[a] - masses[b]
-    nx = ux + dm * (zx[sb] - zx[sa])
-    ny = uy + dm * (zy[sb] - zy[sa])
-    return nx * nx + ny * ny - (ux * ux + uy * uy)
-
-
 def _swap_draws(rng, n, temperatures):
     """Per block of sweeps, as three flat lists: every move's first blade, its
     second (distinct from the first) and its acceptance threshold -t*log(u),

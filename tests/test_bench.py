@@ -467,3 +467,23 @@ def test_an_empty_or_repeated_solver_list_fails_before_any_run(monkeypatch, solv
     with pytest.raises(ValueError, match=message):
         run_benchmark(_tiny_corpus(), solvers, repetitions=1, solver_params=FAST_PARAMS)
     assert calls == []
+
+
+def test_two_instances_with_one_name_fail_before_any_run(monkeypatch):
+    # they would get one seed per run and be merged into one summary cell
+    (_name, a, disk), (_other, b, _disk) = _tiny_corpus()
+    calls = _count_calls(monkeypatch, "heuristic")
+    with pytest.raises(ValueError, match="instance 'X' is given twice"):
+        run_benchmark([("X", a, disk), ("Y", b, disk), ("X", b, disk)], ["heuristic"],
+                      repetitions=1)
+    assert calls == []
+
+
+def test_instances_given_as_an_iterator_all_run():
+    # the checks before any run read the instances too; they must not use them up
+    corpus = _tiny_corpus()
+    expected = run_benchmark(corpus, ["heuristic"], repetitions=2)
+    records = run_benchmark(iter(corpus), ["heuristic"], repetitions=2)
+    assert [(r.instance, r.repetition, r.seed, r.imbalance) for r in records] == \
+        [(r.instance, r.repetition, r.seed, r.imbalance) for r in expected]
+    assert len(records) == 4

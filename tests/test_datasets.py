@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import same_name_manifest
-from turbobalance import BladeSet, DiskImbalance, generate, load, load_instance, standard_corpus
+from turbobalance import BladeSet, DiskImbalance, generate, load_instance, standard_corpus
 from turbobalance.bench import load_corpus
 from turbobalance.datasets import FAMILIES, InstanceFormatError, load_manifest, write_manifest
 
@@ -78,7 +78,7 @@ def test_save_load_roundtrip(tmp_path):
     path = instance.save(tmp_path)
     loaded = load_instance(path)
     assert loaded.to_dict() == instance.to_dict()
-    blades, disk = load(path)
+    blades, disk = loaded.blade_set(), loaded.disk()
     assert isinstance(blades, BladeSet)
     assert isinstance(disk, DiskImbalance)
     assert np.array_equal(blades.masses, instance.masses)

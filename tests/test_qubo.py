@@ -337,6 +337,28 @@ def test_incremental_energy_does_not_drift():
     assert rel_close(walked, evaluator.energy(), 1e-6)
 
 
+def test_evaluator_does_not_drift_over_a_default_tabu_budget():
+    # tabu's default budget at N = 84 with a disk: 50 * 84^2 = 352,800 flips,
+    # after one all_flip_deltas builds the vector parts. Bounds: the energy
+    # within 1e-9 of the offset of a recompute (1.7e-10 seen), and the
+    # vector deltas equal to the from-scratch formula bit for bit.
+    instance = generate("STG1SYN", seed=0, m0=500.0, phi0=1.0)
+    problem = build_qubo(instance.blade_set(), instance.disk(), materialize=False)
+    ev, fresh = problem.evaluator(), problem.evaluator()
+    rng = np.random.default_rng(84)
+    ev.reset(rng.integers(0, 2, size=problem.dimension, dtype=np.int8))
+    ev.all_flip_deltas()
+    flips = rng.integers(0, problem.dimension, size=50 * problem.dimension).tolist()
+    bound, every = 1e-9 * problem.constant_offset, len(flips) // 10
+    for start in range(0, len(flips), every):
+        for a in flips[start:start + every]:
+            ev.flip(a)
+        fresh.reset(ev.bits())
+        assert abs(ev.energy() - fresh.energy()) <= bound, start
+    assert np.array_equal(ev.all_flip_deltas(),
+                          from_scratch_deltas(problem, ev.bits(), (ev._ux, ev._uy)))
+
+
 @pytest.mark.parametrize("kind", ["random", "random-disk", "equal"])
 @pytest.mark.parametrize("n", [12, 23])
 def test_all_flip_deltas_equal_the_from_scratch_formula_along_a_long_walk(n, kind):
