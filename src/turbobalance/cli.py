@@ -58,6 +58,7 @@ def _checked(check):
 
 
 _COUNT = _checked(check_count)
+_SEED = _checked(lambda text: check_count(text, least=0))
 
 
 def _add_solver_flags(parser, sweeps: dict) -> None:
@@ -95,7 +96,7 @@ def _build_parser() -> _Parser:
     solve.set_defaults(parser=solve)
     solve.add_argument("instance", type=Path)
     solve.add_argument("--solver", required=True, choices=sorted(bench_mod.BENCH_SOLVERS))
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=_SEED, default=0)
     _add_solver_flags(solve, {"--sweeps": "annealing sweeps (imbalance-sa / qubo-sa)"})
     solve.add_argument("--trace", type=Path, default=None,
                        help="write the decomposition trace JSON here")

@@ -202,7 +202,7 @@ def load_instance(path) -> InstanceFile:
         raise InstanceFormatError(f"{path}: field 'masses' holds a boolean, not a mass")
     try:
         masses = BladeSet(masses_raw).masses
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:  # overflow: an int past a float
         raise InstanceFormatError(f"{path}: field 'masses' is malformed: {err}") from err
 
     if "bare_imbalance" in doc:
@@ -211,7 +211,7 @@ def load_instance(path) -> InstanceFile:
             m0 = float(_require(bare, "m0", path))
             phi0 = float(_require(bare, "phi0", path))
             DiskImbalance(m0, phi0)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise InstanceFormatError(f"{path}: field 'bare_imbalance' is malformed: {err}") from err
     else:
         warnings.warn(f"{path}: no 'bare_imbalance' field, assuming a balanced disk")

@@ -242,24 +242,27 @@ def _realize(masses, disk, leaves, merge_report, n) -> np.ndarray:
     :func:`_nearest_free` (heaviest blade first; pattern-internal clashes go
     to the nearest still-open slot), and the whole pattern is then
     shifted by the grid step that keeps all its slots free and leaves the
-    running composed vector smallest. Anchoring the shift search on the
+    running composed vector smallest, ties to the smallest shift. Every
+    shift is scored in one pass. Anchoring the shift search on the
     composed vector keeps the group pointing near its assigned merge
     direction while letting later groups cancel the rounding error earlier
     ones picked up. If no collision-free rigid shift exists the group falls
     back to the same nearest-free rounding among the slots still free.
+    Slot angles and vectors are those of :class:`SlotGeometry`: ``n`` slots
+    for the blades, one slot per group for the merge directions.
     """
-    step = TWO_PI / n
-    phi = step * np.arange(n)
-    psi = SlotGeometry(len(leaves)).angles()[merge_report.assignment.slots0]
-    intended = [
-        leaf.residual_magnitude * np.array([math.cos(p), math.sin(p)])
-        for leaf, p in zip(leaves, psi)
-    ]
-    acc = disk.vector + sum(intended)  # the merge-intended composed vector
+    grid, ring = SlotGeometry(n), SlotGeometry(len(leaves))
+    phi, z = grid.angles(), grid.unit_vectors()
+    merge_slots = merge_report.assignment.slots0
+    psi = ring.angles()[merge_slots]
+    magnitudes = np.array([leaf.residual_magnitude for leaf in leaves])
+    intended = magnitudes[:, None] * ring.unit_vectors()[merge_slots]
+    acc = disk.vector + intended.sum(axis=0)  # the merge-intended composed vector
     free = np.ones(n, dtype=bool)
     sigma0 = np.full(n, -1, dtype=np.int64)
+    shifts = np.arange(n)[:, None]
 
-    for li in np.argsort([-leaf.residual_magnitude for leaf in leaves], kind="stable"):
+    for li in np.argsort(-magnitudes, kind="stable"):
         leaf = leaves[li]
         ids0 = np.asarray(leaf.blades) - 1
         rho = (psi[li] - leaf.residual_angle) % TWO_PI
@@ -268,33 +271,20 @@ def _realize(masses, disk, leaves, merge_report, n) -> np.ndarray:
         acc = acc - intended[li]
 
         pattern = _nearest_free(targets, heavy, phi, np.ones(n, dtype=bool))
-        r0 = masses[ids0] @ np.column_stack(
-            [np.cos(step * pattern), np.sin(step * pattern)]
-        )
+        candidates = (pattern + shifts) % n  # row j: the pattern shifted by j slots
+        realized = masses[ids0] @ z[candidates]
+        norms = np.linalg.norm(acc + realized, axis=1)
+        norms[~free[candidates].all(axis=1)] = np.inf
+        j = int(np.argmin(norms))
 
-        best = None
-        for j in range(n):
-            slots = (pattern + j) % n
-            if not free[slots].all():
-                continue
-            cos_j, sin_j = math.cos(step * j), math.sin(step * j)
-            realized = np.array(
-                [cos_j * r0[0] - sin_j * r0[1], sin_j * r0[0] + cos_j * r0[1]]
-            )
-            value = float(np.linalg.norm(acc + realized))
-            if best is None or value < best[0]:
-                best = (value, j, realized, slots)
-
-        if best is not None:
-            _, j, realized, slots = best
-            leaf.rotation = float((rho + step * j) % TWO_PI)
+        if np.isfinite(norms[j]):
+            slots, realized = candidates[j], realized[j]
+            leaf.rotation = float((rho + phi[j]) % TWO_PI)
         else:
             # the free slots cannot host the pattern rigidly
             leaf.rotation = float(rho)
             slots = _nearest_free(targets, heavy, phi, free)
-            # summed apart from acc, heaviest first: acc's rounding steers later shifts
-            realized = sum(masses[ids0[b]] * np.array([math.cos(phi[s]), math.sin(phi[s])])
-                           for b, s in zip(heavy, slots[heavy]))
+            realized = masses[ids0] @ z[slots]
         acc = acc + realized
         sigma0[ids0] = slots
         free[slots] = False

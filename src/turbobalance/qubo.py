@@ -211,7 +211,8 @@ def build_qubo(
     its size: the penalties are added through block and strided views, and
     the diagonal is then rewritten as objective + (lambda1_i - 2 lambda1_i)
     + lambda2 (1 - 2), the expanded squares (sum_j x_ij - 1)^2 and
-    (sum_i x_ij - 1)^2 on x^2 = x.
+    (sum_i x_ij - 1)^2 on x^2 = x. An array too large to allocate is a
+    ``ValueError`` naming N and the dimension.
     """
     penalty_factor = check_penalty_factor(penalty_factor)
     n = blades.n
@@ -222,7 +223,11 @@ def build_qubo(
 
     matrix = None
     if materialize:
-        matrix = np.empty((n * n, n * n))
+        try:
+            matrix = np.empty((n * n, n * n))
+        except MemoryError:
+            raise ValueError(f"the dense QUBO of N={n} blades (dim {n * n}) is too large "
+                             "to allocate") from None
         diagonal = _fill_objective(matrix, blades, disk)
         objective_diagonal = diagonal.copy()
         blocks = matrix.reshape(n, n, n, n)  # blocks[i, j, k, l] couples (i, j) with (k, l)

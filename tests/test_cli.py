@@ -184,6 +184,18 @@ def test_solve_json_names_the_chosen_solver_and_seed(tmp_path, capsys, solver):
     assert report["seed"] == 7
 
 
+@pytest.mark.parametrize("solver", sorted(BENCH_SOLVERS))
+def test_solve_refuses_a_negative_seed_at_parse_time(tmp_path, capsys, solver):
+    path = generate("NORM", 6, seed=2).save(tmp_path)
+    out = tmp_path / "out.json"
+    assert run_cli(["solve", str(path), "--solver", solver, "--seed", "-1",
+                    "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: turbobalance solve [-h]")
+    assert "argument --seed: must be an integer of at least 0, got '-1'" in err
+    assert not out.exists()
+
+
 def test_bench_refuses_an_oversized_brute_force_merge_before_any_output(tmp_path, capsys):
     generate("BETA", 40, seed=0).save(tmp_path)
     manifest = write_manifest(tmp_path, ["BETA40_0000"])
@@ -372,6 +384,14 @@ def test_data_error_exits_two(tmp_path):
     assert run_cli(["generate", "--out-dir", str(tmp_path)]) == 2  # no corpus, no family
     (tmp_path / "short.csv").write_text("instance,solver,repetition\nI,s,0\n")
     assert run_cli(["summarize", str(tmp_path / "short.csv")]) == 2
+    doc = generate("NORM", 5, seed=0).to_dict()
+    doc["masses"][0] = 10 ** 400  # past the range of a float
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
+    assert run_cli(["solve", str(tmp_path / "huge.json"), "--solver", "heuristic"]) == 2
+    # 10,000 blades make a 10^8 x 10^8 QUBO matrix (71 PiB): the allocation fails at once
+    path = generate("NORM", 10_000, seed=0).save(tmp_path)
+    assert run_cli(["export-qubo", str(path), "--out", str(tmp_path / "big.qubo")]) == 2
+    assert not (tmp_path / "big.qubo").exists()
 
 
 def test_corpus_dir_env_override(tmp_path, monkeypatch):

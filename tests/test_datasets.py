@@ -157,6 +157,10 @@ def test_load_rejects_a_top_level_array(tmp_path):
     ("name", ""),
     ("masses", {}),
     ("provenance", []),
+    # integers past the range of a float
+    ("masses", [10 ** 400, 2.0]),
+    ("bare_imbalance", {"m0": 10 ** 400, "phi0": 0.0}),
+    ("bare_imbalance", {"m0": 500.0, "phi0": 10 ** 400}),
 ])
 def test_malformed_field_is_a_format_error_naming_the_file(tmp_path, caplog, field, value):
     good, bad = generate("NORM", 5, seed=1), generate("BETA", 6, seed=2)

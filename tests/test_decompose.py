@@ -17,6 +17,7 @@ from turbobalance import (
     imbalance_sa_solve,
     split,
 )
+from turbobalance.model import TWO_PI, SlotGeometry
 from turbobalance.solvers import SOLVERS, SolveReport
 
 BRUTE = DecompositionConfig(max_subproblem=5, sub_solver="brute-force", merge_solver="brute-force")
@@ -291,6 +292,22 @@ def test_decomposition_is_exactly_accounted_at_production_blade_counts(
     assert len(trace.leaves()) == leaves
     again, _ = decompose_solve(blades, disk, config, seed=11)
     assert again.assignment == report.assignment
+
+
+@pytest.mark.parametrize("with_disk", [False, True])
+@pytest.mark.parametrize("n, leaves, merge_solver", GATE_CASES)
+def test_leaf_rotations_lie_on_the_slot_grid(n, leaves, merge_solver, with_disk):
+    # a group turns onto its merge direction (rho), then by a whole number of
+    # slots, unless it falls back to rounding blade by blade (rho alone)
+    blades, disk = random_instance(np.random.default_rng(n), n, with_disk=with_disk)
+    config = DecompositionConfig(max_subproblem=5, sub_solver="brute-force",
+                                 merge_solver=merge_solver)
+    _, trace = decompose_solve(blades, disk, config, seed=11)
+    psi = SlotGeometry(leaves).angles()[trace.merge_report.assignment.slots0]
+    phi = SlotGeometry(n).angles()
+    for leaf, direction in zip(trace.leaves(), psi):
+        rho = (direction - leaf.residual_angle) % TWO_PI
+        assert leaf.rotation == rho or leaf.rotation in (rho + phi) % TWO_PI, leaf.blades
 
 
 def test_decompose_places_a_single_blade_in_its_one_slot():

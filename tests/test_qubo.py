@@ -618,3 +618,11 @@ def test_export_requires_materialized_matrix(tmp_path):
     problem = build_qubo(BladeSet([1.0, 2.0]), DiskImbalance(), materialize=False)
     with pytest.raises(ValueError):
         export_qubo(problem, tmp_path / "q.txt")
+
+
+def test_a_dense_matrix_too_large_to_allocate_is_a_value_error():
+    # 10,000 blades make a 10^8 x 10^8 matrix (71 PiB): the allocation fails at once
+    blades = BladeSet(np.ones(10_000))
+    with pytest.raises(ValueError, match=re.escape("N=10000 blades (dim 100000000)")):
+        build_qubo(blades, DiskImbalance(), materialize=True)
+    assert build_qubo(blades, DiskImbalance(), materialize=False).matrix is None
