@@ -79,14 +79,14 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="generate instance files")
     gen.add_argument("--out-dir", type=Path, default=None,
                      help="target directory (default: the corpus directory)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_SEED, default=0)
     gen.add_argument("--standard-corpus", action="store_true",
                      help="emit the full nine-instance corpus plus manifest")
     gen.add_argument("--with-imbalance", action="store_true",
                      help="give corpus instances a bare-disk imbalance (m0=500)")
     gen.add_argument("--family", choices=sorted(datasets.FAMILIES))
     gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--serial", type=int, default=0)
+    gen.add_argument("--serial", type=_SEED, default=0)
     gen.add_argument("--m0", type=float, default=0.0)
     gen.add_argument("--phi0", type=float, default=0.0)
 

@@ -108,8 +108,10 @@ def generate(
 
     Deterministic per (family, n, seed). Fixed-size families reject a
     mismatched ``n``; ``n`` must be at least 2 for the sample scaling to be
-    defined.
+    defined, and ``serial`` (the name's four-digit suffix) at least 0.
     """
+    if serial < 0:
+        raise ValueError(f"serial must be at least 0, got {serial}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; available: {sorted(FAMILIES)}")
     fixed = FAMILIES[family]

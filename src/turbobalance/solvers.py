@@ -40,11 +40,14 @@ BRUTE_FORCE_LIMIT = 10
 #: blades brute force orders in one numpy pass per prefix of the others (7! = 5,040 rows)
 BRUTE_FORCE_TAIL = 7
 #: moves per block of random draws in imbalance-sa; part of its seed contract.
-#: A block's draws and thresholds take about 0.14 MiB. At N = 40 (2,040 moves
-#: a block; 2-core VM, numpy 2.4) drawing a block takes about 110-130 us in all,
-#: over half of it the three ``.tolist()`` calls; the draws are some 20% of a
-#: 2,000-sweep solve. A fourth list of the moves' mass differences would cost
-#: more to build (about 20 ns a move, its ``.tolist()``) than it saves in the loop.
+#: A block is four 2,048-element numpy arrays, about 64 KiB (as three lists
+#: plus the arrays they came from, 0.14 MiB). At N = 40 (2,040 moves a block;
+#: 2-core VM, numpy 2.4) drawing a block and its mass differences takes about
+#: 95 us, against 165 us with three ``.tolist()`` calls; the draws are some
+#: 12% of a 2,000-sweep solve. The loop reads each array through a memoryview,
+#: which makes one number at a time, so the mass differences cost one numpy
+#: subtraction per block and no list: 1-5% of a solve less than taking
+#: ``m[a] - m[b]`` per move from three streams.
 IMBALANCE_SA_BLOCK_MOVES = 2048
 
 
@@ -155,7 +158,7 @@ def default_imbalance_schedule(
 
 
 def _swap_draws(rng, n, temperatures):
-    """Per block of sweeps, as three flat lists: every move's first blade, its
+    """Per block of sweeps, as three flat arrays: every move's first blade, its
     second (distinct from the first) and its acceptance threshold -t*log(u),
     t being its sweep's temperature. Only one block is held at once."""
     block = max(1, IMBALANCE_SA_BLOCK_MOVES // n)
@@ -166,7 +169,7 @@ def _swap_draws(rng, n, temperatures):
         second += second >= first  # uniform over distinct pairs
         with np.errstate(divide="ignore"):  # u = 0 gives an infinite threshold
             threshold = -t * np.log(rng.random((len(t), n)))
-        yield first.ravel().tolist(), second.ravel().tolist(), threshold.ravel().tolist()
+        yield first.ravel(), second.ravel(), threshold.ravel()
 
 
 def imbalance_sa_solve(
@@ -197,7 +200,9 @@ def imbalance_sa_solve(
     shape (sweeps in block, N) give the first blade, the second blade and
     the uniform u (hence the threshold) of every move in the block. A block
     holds ``max(1, IMBALANCE_SA_BLOCK_MOVES // N)`` sweeps (the last one may
-    be shorter), so the block size is part of what a seed reproduces.
+    be shorter), so the block size is part of what a seed reproduces. Each
+    move's mass difference m[a] - m[b] comes with the block, from one numpy
+    subtraction: the same IEEE operation as per move, so the same walk.
     """
     n = blades.n
     if n < 2:
@@ -214,7 +219,8 @@ def imbalance_sa_solve(
     z = SlotGeometry(n).unit_vectors()
     zx = z[:, 0].tolist()
     zy = z[:, 1].tolist()
-    m = blades.masses.tolist()
+    masses = blades.masses
+    m = masses.tolist()
     ux = float(disk.vector[0]) + sum(m[i] * zx[sigma[i]] for i in range(n))
     uy = float(disk.vector[1]) + sum(m[i] * zy[sigma[i]] for i in range(n))
     d2 = ux * ux + uy * uy
@@ -223,10 +229,12 @@ def imbalance_sa_solve(
     best_sigma = sigma.copy()
 
     for first, second, threshold in _swap_draws(rng, n, schedule.temperatures()):
-        for a, b, th in zip(first, second, threshold):
+        dms = masses[first] - masses[second]
+        for a, b, th, dm in zip(
+            memoryview(first), memoryview(second), memoryview(threshold), memoryview(dms)
+        ):
             sa = sigma[a]
             sb = sigma[b]
-            dm = m[a] - m[b]
             nx = ux + dm * (zx[sb] - zx[sa])
             nxx = nx * nx
             if nxx - d2 >= th:  # refused on x alone: adding ny*ny cannot lower nd2

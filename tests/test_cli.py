@@ -27,6 +27,16 @@ def test_generate_single_instance(tmp_path, capsys):
     assert str(path) in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--serial"])
+def test_generate_refuses_a_negative_seed_or_serial_at_parse_time(tmp_path, capsys, flag):
+    assert run_cli(["generate", "--family", "NORM", "--n", "5", flag, "-1",
+                    "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: turbobalance generate [-h]")
+    assert f"argument {flag}: must be an integer of at least 0, got '-1'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_standard_corpus(tmp_path, capsys):
     code = run_cli(["generate", "--standard-corpus", "--out-dir", str(tmp_path), "--seed", "1"])
     assert code == 0

@@ -54,6 +54,11 @@ def test_generate_rejects_tiny_n():
         generate("NORM", 1, seed=0)
 
 
+def test_generate_rejects_a_negative_serial():
+    with pytest.raises(ValueError, match="serial must be at least 0, got -1"):
+        generate("NORM", 5, seed=0, serial=-1)
+
+
 def test_generate_needs_n_for_a_family_without_a_fixed_size():
     with pytest.raises(ValueError, match="explicit blade count"):
         generate("NORM")
