@@ -22,6 +22,7 @@ from . import bench as bench_mod
 from . import datasets
 from .datasets import InstanceFormatError, load_instance
 from .decompose import DecompositionConfig, decompose_solve
+from .model import DiskImbalance
 from .qubo import DEFAULT_PENALTY_FACTOR, build_qubo, decode, export_qubo
 from .solvers import PARAMETER_CHECKS, check_count
 
@@ -61,6 +62,16 @@ _COUNT = _checked(check_count)
 _SEED = _checked(lambda text: check_count(text, least=0))
 
 
+def _disk_field(name):
+    """An argparse type for the :class:`DiskImbalance` field ``name``: the
+    flag's float, if a disk with that value passes its checks."""
+    def check(text):
+        value = float(text)
+        DiskImbalance(**{name: value})
+        return value
+    return _checked(check)
+
+
 def _add_solver_flags(parser, sweeps: dict) -> None:
     """Add one flag per :data:`~turbobalance.solvers.PARAMETER_CHECKS` entry,
     typed by its check: ``--`` and the parameter's name, ``_`` written ``-``,
@@ -76,22 +87,28 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="turbobalance", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # each subcommand's parser stays on the parsed args, so errors found after
+    # parsing print that subcommand's usage line
     gen = sub.add_parser("generate", help="generate instance files")
+    gen.set_defaults(parser=gen)
     gen.add_argument("--out-dir", type=Path, default=None,
                      help="target directory (default: the corpus directory)")
     gen.add_argument("--seed", type=_SEED, default=0)
-    gen.add_argument("--standard-corpus", action="store_true",
-                     help="emit the full nine-instance corpus plus manifest")
-    gen.add_argument("--with-imbalance", action="store_true",
+    mode = gen.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--standard-corpus", action="store_true",
+                      help="emit the full nine-instance corpus plus manifest")
+    mode.add_argument("--family", choices=sorted(datasets.FAMILIES), help="emit one instance")
+    # the flags of one mode default to None, so that the other mode can refuse them
+    gen.add_argument("--with-imbalance", action="store_true", default=None,
                      help="give corpus instances a bare-disk imbalance (m0=500)")
-    gen.add_argument("--family", choices=sorted(datasets.FAMILIES))
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--serial", type=_SEED, default=0)
-    gen.add_argument("--m0", type=float, default=0.0)
-    gen.add_argument("--phi0", type=float, default=0.0)
+    gen.add_argument("--n", type=_checked(lambda text: check_count(text, least=2)), default=None,
+                     help="blade count (default: the family's fixed size)")
+    gen.add_argument("--serial", type=_SEED, default=None, help="the name's suffix (default: 0)")
+    gen.add_argument("--m0", type=_disk_field("m0"), default=None,
+                     help="bare-disk imbalance magnitude (default: 0)")
+    gen.add_argument("--phi0", type=_disk_field("phi0"), default=None,
+                     help="bare-disk imbalance angle (default: 0)")
 
-    # each subcommand's parser stays on the parsed args, so errors found after
-    # parsing print that subcommand's usage line
     solve = sub.add_parser("solve", help="run one solver on one instance")
     solve.set_defaults(parser=solve)
     solve.add_argument("instance", type=Path)
@@ -192,22 +209,30 @@ def _write_rows(rows, row_type, fmt: str, path: Path | None) -> list:
     return list(kept)
 
 
+#: the ``generate`` flags that only ``--family`` uses
+_FAMILY_FLAGS = ("n", "serial", "m0", "phi0")
+
+
 def _cmd_generate(args) -> int:
+    mode, unused = (("--standard-corpus", _FAMILY_FLAGS) if args.standard_corpus
+                    else ("--family", ("with_imbalance",)))
+    for dest in unused:
+        if getattr(args, dest) is not None:
+            args.parser.error(f"--{dest.replace('_', '-')} is not used by {mode}")
+    if args.phi0 is not None and not args.m0:  # a balanced disk's angle is 0
+        args.parser.error("--phi0 is not used without an --m0 above 0")
     out_dir = args.out_dir if args.out_dir is not None else _corpus_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.standard_corpus:
         manifest, instances = datasets.standard_corpus(
-            out_dir, base_seed=args.seed, with_imbalance=args.with_imbalance
+            out_dir, base_seed=args.seed, with_imbalance=bool(args.with_imbalance)
         )
         for instance in instances:
             print(out_dir / f"{instance.name}.json")
         print(manifest)
         return EXIT_OK
-    if args.family is None:
-        raise InstanceFormatError("either --standard-corpus or --family is required")
-    instance = datasets.generate(
-        args.family, args.n, seed=args.seed, m0=args.m0, phi0=args.phi0, serial=args.serial
-    )
+    given = {dest: getattr(args, dest) for dest in _FAMILY_FLAGS if getattr(args, dest) is not None}
+    instance = datasets.generate(args.family, seed=args.seed, **given)
+    out_dir.mkdir(parents=True, exist_ok=True)
     print(instance.save(out_dir))
     return EXIT_OK
 

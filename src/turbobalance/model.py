@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,21 +148,17 @@ class Assignment:
 
 @dataclass(frozen=True, eq=False)
 class ImbalanceResult:
-    """Residual imbalance of an assembled rotor: vector and its Euclidean norm d."""
+    """Residual imbalance of an assembled rotor: vector and d, its Euclidean norm."""
 
-    d: float
     vector: np.ndarray
+    d: float = field(init=False)
 
     def __post_init__(self):
         vector = np.asarray(self.vector, dtype=float)
         if vector.shape != (2,):
             raise ValueError(f"imbalance vector must have shape (2,), got {vector.shape}")
         _frozen_array(self, "vector", vector)
-        d = float(self.d)
-        norm = float(np.linalg.norm(vector))
-        if abs(d - norm) > 1e-12 * max(1.0, norm):
-            raise ValueError(f"d={d} is not the norm of the vector ({norm})")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", float(np.linalg.norm(vector)))
 
 
 def derive_seed(*parts, sep: str = ":") -> int:
@@ -188,7 +184,7 @@ def imbalance(blades: BladeSet, disk: DiskImbalance, assignment: Assignment) -> 
     _check_lengths(blades, assignment)
     z = SlotGeometry(blades.n).unit_vectors()
     vector = disk.vector + blades.masses @ z[assignment.slots0]
-    return ImbalanceResult(d=float(np.linalg.norm(vector)), vector=vector)
+    return ImbalanceResult(vector)
 
 
 def imbalance_squared_cosform(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -93,18 +93,21 @@ class QuboProblem:
     only dense matrix a problem stores; it is ``None`` when the problem was
     built with ``materialize=False``. ``lambda1[i-1]`` is the penalty weight
     of blade i's row constraint, ``lambda2`` the shared column weight.
+    ``constant_offset`` = m0^2 + sum(lambda1) + N * lambda2 comes from the other fields.
     """
 
     matrix: np.ndarray | None
     lambda1: np.ndarray
     lambda2: float
-    constant_offset: float
     blades: BladeSet
     disk: DiskImbalance
+    constant_offset: float = field(init=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lambda1, dtype=float)
         _frozen_array(self, "lambda1", lam)
+        offset = self.disk.m0 ** 2 + float(lam.sum()) + self.n * self.lambda2
+        object.__setattr__(self, "constant_offset", offset)
         if self.matrix is not None:
             _frozen_array(self, "matrix", self.matrix)
 
@@ -219,7 +222,6 @@ def build_qubo(
     bounds, bound2 = min_penalties(blades, disk)
     lambda1 = penalty_factor * bounds
     lambda2 = penalty_factor * bound2
-    offset = disk.m0 ** 2 + float(lambda1.sum()) + n * lambda2
 
     matrix = None
     if materialize:
@@ -237,14 +239,7 @@ def build_qubo(
         l1 = np.repeat(lambda1, n)
         diagonal[:] = (objective_diagonal + (l1 - 2.0 * l1)) + lambda2 * (1.0 - 2.0)
 
-    return QuboProblem(
-        matrix=matrix,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        constant_offset=offset,
-        blades=blades,
-        disk=disk,
-    )
+    return QuboProblem(matrix=matrix, lambda1=lambda1, lambda2=lambda2, blades=blades, disk=disk)
 
 
 def encode(assignment: Assignment) -> BinaryConfiguration:

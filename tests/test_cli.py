@@ -37,6 +37,48 @@ def test_generate_refuses_a_negative_seed_or_serial_at_parse_time(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, message", [
+    # a value out of the library's bounds, found when parsed
+    (["--family", "NORM", "--n", "1"], "argument --n: must be an integer of at least 2, got '1'"),
+    (["--family", "NORM", "--n", "5", "--m0", "-5"],
+     "argument --m0: imbalance magnitude must be finite and >= 0, got -5.0"),
+    (["--family", "NORM", "--n", "5", "--m0", "nan"],
+     "argument --m0: imbalance magnitude must be finite and >= 0, got nan"),
+    (["--family", "NORM", "--n", "5", "--phi0", "inf"],
+     "argument --phi0: imbalance angle must be finite, got inf"),
+    # a flag the chosen mode does not use, or neither mode or both
+    (["--standard-corpus", "--family", "NORM", "--n", "5", "--serial", "2", "--m0", "3"],
+     "argument --family: not allowed with argument --standard-corpus"),
+    (["--standard-corpus", "--n", "5"], "--n is not used by --standard-corpus"),
+    (["--standard-corpus", "--serial", "0"], "--serial is not used by --standard-corpus"),
+    (["--standard-corpus", "--m0", "3"], "--m0 is not used by --standard-corpus"),
+    (["--standard-corpus", "--with-imbalance", "--phi0", "1"],
+     "--phi0 is not used by --standard-corpus"),
+    (["--family", "NORM", "--n", "5", "--with-imbalance"], "--with-imbalance is not used by --family"),
+    (["--family", "NORM", "--n", "5", "--phi0", "1.2"], "--phi0 is not used without an --m0 above 0"),
+    (["--family", "NORM", "--n", "5", "--m0", "0", "--phi0", "1.2"],
+     "--phi0 is not used without an --m0 above 0"),
+    ([], "one of the arguments --standard-corpus --family is required"),
+])
+def test_generate_refuses_a_flag_out_of_bounds_or_unused_by_its_mode(tmp_path, capsys, args,
+                                                                     message):
+    out = tmp_path / "out"
+    assert run_cli(["generate", *args, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: turbobalance generate [-h]")
+    assert f"turbobalance generate: error: {message}\n" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--family", "F22SYN", "--n", "5"], ["--family", "NORM"]])
+def test_generate_data_error_exits_two_and_makes_no_directory(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    code = run_cli(["generate", *args, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("turbobalance: error: ")
+    assert not out.exists()
+
+
 def test_generate_standard_corpus(tmp_path, capsys):
     code = run_cli(["generate", "--standard-corpus", "--out-dir", str(tmp_path), "--seed", "1"])
     assert code == 0
@@ -386,12 +428,11 @@ def test_count_flag_below_one_exits_one_before_any_output(tmp_path, capsys, comm
 
 def test_data_error_exits_two(tmp_path):
     assert run_cli(["solve", str(tmp_path / "missing.json"), "--solver", "heuristic"]) == 2
-    assert run_cli(["generate", "--family", "NORM", "--n", "1",
+    assert run_cli(["generate", "--family", "F22SYN", "--n", "5",
                     "--out-dir", str(tmp_path)]) == 2
     assert run_cli(["summarize", str(tmp_path / "missing.csv")]) == 2
     assert run_cli(["bench", "--manifest", str(same_name_manifest(tmp_path)),
                     "--solvers", "heuristic", "--repetitions", "1"]) == 2
-    assert run_cli(["generate", "--out-dir", str(tmp_path)]) == 2  # no corpus, no family
     (tmp_path / "short.csv").write_text("instance,solver,repetition\nI,s,0\n")
     assert run_cli(["summarize", str(tmp_path / "short.csv")]) == 2
     doc = generate("NORM", 5, seed=0).to_dict()

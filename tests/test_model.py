@@ -184,12 +184,16 @@ def test_imbalance_result_norm_consistency():
 
 def test_imbalance_result_validates_vector_shape():
     with pytest.raises(ValueError):
-        ImbalanceResult(1.0, np.zeros(3))
+        ImbalanceResult(np.zeros(3))
 
 
-def test_imbalance_result_rejects_a_d_that_is_not_the_norm():
-    with pytest.raises(ValueError, match="not the norm"):
-        ImbalanceResult(4.0, np.array([3.0, 4.0]))
+def test_imbalance_result_computes_d_from_its_vector_and_refuses_one():
+    for vector in ([3.0, 4.0], [0.1, 0.2], [-3e-200, 7e150], [0.0, -0.0]):
+        result = ImbalanceResult(np.array(vector))
+        assert result.d == float(np.linalg.norm(np.array(vector)))
+        assert type(result.d) is float
+        with pytest.raises(TypeError, match="'d'"):
+            ImbalanceResult(np.array(vector), d=result.d)
 
 
 def test_slot_geometry_rejects_zero_slots():

@@ -12,6 +12,7 @@ from turbobalance import (
     BinaryConfiguration,
     BladeSet,
     DiskImbalance,
+    QuboProblem,
     ValidityReport,
     brute_force_solve,
     build_qubo,
@@ -51,6 +52,21 @@ def test_applied_weights_are_ten_times_the_bounds():
     assert problem.lambda2 == 10.0 * column_bound
     assert np.all(problem.lambda1 > bounds)
     assert problem.lambda2 > column_bound
+
+
+@pytest.mark.parametrize("disk", [DiskImbalance(), DiskImbalance(500.0, 1.0)])
+@pytest.mark.parametrize("materialize", [True, False])
+def test_constant_offset_is_the_expanded_constants(disk, materialize):
+    """m0^2 plus the constants of the expanded penalty squares, computed from
+    the problem's own fields, also in a ``dataclasses.replace`` copy."""
+    blades = generate("NORM", 12, seed=4).blade_set()
+    problem = build_qubo(blades, disk, materialize=materialize)
+    lambda1, lambda2 = problem.lambda1, problem.lambda2
+    assert problem.constant_offset == disk.m0 ** 2 + float(lambda1.sum()) + 12 * lambda2
+    copy = dataclasses.replace(problem, lambda1=2.0 * lambda1, lambda2=3.0 * lambda2)
+    assert copy.constant_offset == disk.m0 ** 2 + float((2.0 * lambda1).sum()) + 12 * (3.0 * lambda2)
+    with pytest.raises(TypeError, match="constant_offset"):
+        QuboProblem(None, lambda1, lambda2, blades, disk, constant_offset=0.0)
 
 
 @pytest.mark.parametrize("factor", [1.0, 0.5, -2.0, float("nan"), float("inf")])
