@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import TWO_PI, BladeSet, DiskImbalance, derive_seed
+from .solvers import check_count
 
 TARGET_MEAN = 1.0e4
 TARGET_STD = 100.0
@@ -69,10 +70,6 @@ class InstanceFile:
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
 
-    @property
-    def n(self) -> int:
-        return int(self.masses.size)
-
     def blade_set(self) -> BladeSet:
         return BladeSet(self.masses, name=self.name)
 
@@ -107,23 +104,19 @@ def generate(
     """Draw one instance of the given family, rescaled to mean 10^4 / std 100.
 
     Deterministic per (family, n, seed). Fixed-size families reject a
-    mismatched ``n``; ``n`` must be at least 2 for the sample scaling to be
-    defined, and ``serial`` (the name's four-digit suffix) at least 0.
+    mismatched ``n``. ``n`` is a count of at least 2, for the sample scaling
+    to be defined; ``seed`` and ``serial`` (the name's four-digit suffix) are
+    counts of at least 0 (:func:`~turbobalance.solvers.check_count`).
     """
-    if serial < 0:
-        raise ValueError(f"serial must be at least 0, got {serial}")
+    seed, serial = check_count(seed, least=0), check_count(serial, least=0)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; available: {sorted(FAMILIES)}")
     fixed = FAMILIES[family]
-    if fixed is not None:
-        if n is not None and n != fixed:
-            raise ValueError(f"family {family} has a fixed size of {fixed}, got n={n}")
-        n = fixed
+    n = fixed if n is None else check_count(n, least=2)
     if n is None:
         raise ValueError(f"family {family} needs an explicit blade count")
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2 for the sample scaling to be defined, got {n}")
+    if fixed is not None and n != fixed:
+        raise ValueError(f"family {family} has a fixed size of {fixed}, got n={n}")
 
     rng = np.random.default_rng(seed)
     if family == "BETA":
@@ -146,14 +139,14 @@ def generate(
 
     disk = DiskImbalance(m0, phi0)
     return InstanceFile(
-        name=f"{family}{n}_{int(serial):04d}",
+        name=f"{family}{n}_{serial:04d}",
         masses=masses,
         m0=disk.m0,
         phi0=disk.phi0,
         provenance={
             "family": family,
             "n": n,
-            "seed": int(seed),
+            "seed": seed,
             "distribution": distribution,
             "target_mean": TARGET_MEAN,
             "target_std": TARGET_STD,
@@ -267,7 +260,9 @@ def load_manifest(path) -> list:
 def standard_corpus(directory, base_seed: int = 0, with_imbalance: bool = False):
     """Generate the nine-instance corpus plus manifest into ``directory``.
 
-    With ``with_imbalance`` every instance gets m0 = 500 and a per-instance
+    Every name's serial is ``base_seed`` (``BETA20_0003`` at base seed 3), so
+    corpora at different base seeds can share one manifest. With
+    ``with_imbalance`` every instance gets m0 = 500 and a per-instance
     seeded uniform angle; otherwise disks are balanced. Returns
     (manifest_path, instances).
     """
@@ -281,7 +276,7 @@ def standard_corpus(directory, base_seed: int = 0, with_imbalance: bool = False)
             phi0 = float(np.random.default_rng(derive_seed(base_seed, family, n, "phi0")).uniform(0.0, TWO_PI))
         else:
             m0, phi0 = 0.0, 0.0
-        instance = generate(family, n, seed=name_seed, m0=m0, phi0=phi0)
+        instance = generate(family, n, seed=name_seed, m0=m0, phi0=phi0, serial=base_seed)
         instance.save(directory)
         instances.append(instance)
     manifest = write_manifest(directory, [inst.name for inst in instances])

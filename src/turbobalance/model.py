@@ -80,12 +80,6 @@ class DiskImbalance:
         """Cartesian view (x, y) of the bare imbalance."""
         return np.array([self.m0 * math.cos(self.phi0), self.m0 * math.sin(self.phi0)])
 
-    @classmethod
-    def from_cartesian(cls, x: float, y: float) -> "DiskImbalance":
-        m0 = math.hypot(x, y)
-        phi0 = math.atan2(y, x) % TWO_PI if m0 > 0.0 else 0.0
-        return cls(m0, phi0)
-
 
 @dataclass(frozen=True)
 class SlotGeometry:
@@ -141,9 +135,6 @@ class Assignment:
         if not isinstance(other, Assignment):
             return NotImplemented
         return np.array_equal(self.sigma, other.sigma)
-
-    def __hash__(self):
-        return hash(self.sigma.tobytes())
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,12 +75,10 @@ class ValidityReport:
     """Which one-hot constraints a non-permutation configuration violates.
 
     Row i is violated when blade i occupies != 1 slots; column j when slot j
-    holds != 1 blades. Indices are 1-based; popcounts are the actual sums.
+    holds != 1 blades. Each violation is (1-based index, actual popcount);
+    every row and column not listed has popcount 1.
     """
 
-    n: int
-    row_popcounts: tuple
-    col_popcounts: tuple
     row_violations: tuple  # ((index, popcount), ...)
     col_violations: tuple
 
@@ -264,9 +262,6 @@ def decode(config) -> Assignment | ValidityReport:
     if np.all(rows == 1) and np.all(cols == 1):
         return Assignment(np.argmax(mat, axis=1) + 1)
     return ValidityReport(
-        n=config.n,
-        row_popcounts=tuple(int(v) for v in rows),
-        col_popcounts=tuple(int(v) for v in cols),
         row_violations=tuple((i + 1, int(v)) for i, v in enumerate(rows) if v != 1),
         col_violations=tuple((j + 1, int(v)) for j, v in enumerate(cols) if v != 1),
     )

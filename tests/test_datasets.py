@@ -54,9 +54,14 @@ def test_generate_rejects_tiny_n():
         generate("NORM", 1, seed=0)
 
 
-def test_generate_rejects_a_negative_serial():
-    with pytest.raises(ValueError, match="serial must be at least 0, got -1"):
-        generate("NORM", 5, seed=0, serial=-1)
+@pytest.mark.parametrize("name, value, least", [
+    ("n", 5.7, 2), ("n", True, 2), ("serial", -1, 0), ("serial", 1.5, 0), ("serial", True, 0),
+    ("seed", -1, 0), ("seed", 2.9, 0),
+])
+def test_generate_refuses_a_count_that_is_not_an_integer_in_bounds(name, value, least):
+    message = f"must be an integer of at least {least}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate("NORM", **{"n": 5, name: value})
 
 
 def test_generate_needs_n_for_a_family_without_a_fixed_size():
@@ -72,9 +77,9 @@ def test_generate_rejects_unknown_family_and_size_mismatch():
 
 
 def test_standin_families_have_fixed_sizes():
-    assert generate("F22SYN", seed=0).n == 22
-    assert generate("STG1SYN", seed=0).n == 84
-    assert generate("STG2SYN", seed=0).n == 86
+    assert generate("F22SYN", seed=0).masses.size == 22
+    assert generate("STG1SYN", seed=0).masses.size == 84
+    assert generate("STG2SYN", seed=0).masses.size == 86
     assert generate("STG2SYN", seed=0).provenance["standin"] is True
 
 
@@ -220,7 +225,7 @@ def test_load_skips_scale_check_without_declared_targets(tmp_path):
         "name": "ADHOC", "masses": [1.0, 2.0, 3.0],
         "bare_imbalance": {"m0": 0.0, "phi0": 0.0},
     }))
-    assert load_instance(path).n == 3
+    assert load_instance(path).masses.size == 3
 
 
 def test_standard_corpus_layout(tmp_path):
@@ -246,6 +251,16 @@ def test_standard_corpus_with_imbalance(tmp_path):
     assert all(0.0 <= inst.phi0 < 2 * math.pi for inst in instances)
     angles = {inst.phi0 for inst in instances}
     assert len(angles) > 1  # per-instance seeded angles
+
+
+def test_standard_corpus_names_carry_the_base_seed(tmp_path):
+    # the serial is the base seed, so two base seeds' corpora share one manifest
+    _, zero = standard_corpus(tmp_path, base_seed=0)
+    _, three = standard_corpus(tmp_path, base_seed=3)
+    assert all(inst.name.endswith("_0003") for inst in three)
+    names = [inst.name for inst in zero + three]
+    corpus = load_corpus(write_manifest(tmp_path, names))
+    assert [name for name, _, _ in corpus] == names
 
 
 def test_corpus_generation_is_deterministic(tmp_path):

@@ -128,19 +128,9 @@ def test_triangle_bound():
         assert imbalance(blades, disk, assignment).d <= bound * (1 + 1e-12)
 
 
-def test_disk_polar_cartesian_roundtrip():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        disk = DiskImbalance(float(rng.uniform(1e-6, 1e4)), float(rng.uniform(-10, 10)))
-        back = DiskImbalance.from_cartesian(*disk.vector)
-        assert rel_close(back.m0, disk.m0, 1e-12)
-        assert abs(back.phi0 - disk.phi0) <= 1e-12 * (1 + disk.phi0)
-
-
 def test_disk_zero_magnitude_is_canonical():
     disk = DiskImbalance(0.0, 2.3)
     assert disk.phi0 == 0.0
-    assert DiskImbalance.from_cartesian(0.0, 0.0).m0 == 0.0
 
 
 def test_disk_rejects_bad_values():
