@@ -24,7 +24,7 @@ from .datasets import InstanceFormatError, load_instance, load_manifest
 from .decompose import DecompositionConfig, check_merge_size, decompose_solve
 from .model import derive_seed
 from .solvers import (SOLVERS, check_blade_count, check_count, check_parameters, get_solver,
-                      keyword_parameters)
+                      keyword_parameters, prefixed)
 
 logger = logging.getLogger(__name__)
 
@@ -154,17 +154,13 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
         given = params.get(solver, {})
         check_parameters(solver, solver_parameters(solver), given)
         for name, blades, _disk in instances:
-            try:
+            with prefixed(f"instance {name!r}"):
                 check_blade_count(solver, blades.n)
-            except ValueError as err:
-                raise ValueError(f"instance {name!r}: {err}") from None
         if solver == "decompose":  # checks its sub- and merge-solver parameters too
-            try:
+            with prefixed("solver 'decompose'"):
                 config = DecompositionConfig(**given)
                 for _name, blades, _disk in instances:
                     check_merge_size(blades.n, config)
-            except ValueError as err:
-                raise ValueError(f"solver 'decompose': {err}") from None
     tasks = [
         (name, blades, disk, solver, params.get(solver, {}),
          run_seed(base_seed, name, solver, repetition), repetition)

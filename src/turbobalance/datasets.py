@@ -264,8 +264,10 @@ def standard_corpus(directory, base_seed: int = 0, with_imbalance: bool = False)
     corpora at different base seeds can share one manifest. With
     ``with_imbalance`` every instance gets m0 = 500 and a per-instance
     seeded uniform angle; otherwise disks are balanced. Returns
-    (manifest_path, instances).
+    (manifest_path, instances). A ``base_seed`` that is not an integer of at
+    least 0 is a ``ValueError`` before ``directory`` is made.
     """
+    base_seed = check_count(base_seed, least=0)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     instances = []

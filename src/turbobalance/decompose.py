@@ -33,7 +33,7 @@ from .model import (
     imbalance,
 )
 from .solvers import (PARAMETER_CHECKS, SolveReport, check_blade_count, check_parameters,
-                      get_solver, heuristic_solve, keyword_parameters)
+                      get_solver, heuristic_solve, keyword_parameters, prefixed)
 
 #: Pseudo-mass given to a perfectly balanced group so the merge problem stays
 #: well-formed; placement of such a group is irrelevant to the objective.
@@ -64,22 +64,15 @@ class DecompositionConfig:
 
     def __post_init__(self):
         for name in ("max_subproblem", "sub_solver", "merge_solver"):
-            try:
-                value = PARAMETER_CHECKS[name](getattr(self, name))
-            except ValueError as err:
-                raise ValueError(f"{name}: {err}") from None
-            object.__setattr__(self, name, value)
-        try:
+            with prefixed(name):
+                object.__setattr__(self, name, PARAMETER_CHECKS[name](getattr(self, name)))
+        with prefixed("'max_subproblem' is too large for the sub-solver"):
             check_blade_count(self.sub_solver, self.max_subproblem)
-        except ValueError as err:
-            raise ValueError(f"'max_subproblem' is too large for the sub-solver: {err}") from None
         for role in ("sub_solver", "merge_solver"):
             name = getattr(self, role)
             accepted = keyword_parameters(get_solver(name))
-            try:
+            with prefixed(f"{role}_params"):
                 check_parameters(name, accepted, getattr(self, f"{role}_params"))
-            except ValueError as err:
-                raise ValueError(f"{role}_params: {err}") from None
 
 
 @dataclass
@@ -104,13 +97,9 @@ class TraceNode:
     fallback: bool = False
     attempts: int = 0
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def leaves(self) -> list:
         """The leaves under this node, left to right."""
-        if self.is_leaf:
+        if not self.children:
             return [self]
         return [leaf for child in self.children for leaf in child.leaves()]
 
@@ -204,11 +193,9 @@ def check_merge_size(n: int, config: DecompositionConfig) -> None:
     solver takes (:func:`check_blade_count`). The count depends only on ``n``
     and the cap: it is the leaf count of the tree :func:`_build_tree` cuts."""
     count = len(_build_tree(range(1, n + 1), config.max_subproblem).leaves())
-    try:
+    with prefixed(f"{n} blades at max_subproblem {config.max_subproblem} make "
+                  f"{count} groups to merge"):
         check_blade_count(config.merge_solver, count)
-    except ValueError as err:
-        raise ValueError(f"{n} blades at max_subproblem {config.max_subproblem} make "
-                         f"{count} groups to merge: {err}") from None
 
 
 def _build_tree(ids, cap, exact=True) -> TraceNode:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -62,13 +62,6 @@ class BinaryConfiguration:
             raise ValueError(f"configuration length {bits.size} is not a perfect square")
         _frozen_array(self, "bits", bits)
 
-    @property
-    def n(self) -> int:
-        return math.isqrt(self.bits.size)
-
-    def as_matrix(self) -> np.ndarray:
-        return self.bits.reshape(self.n, self.n)
-
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -91,7 +84,9 @@ class QuboProblem:
     only dense matrix a problem stores; it is ``None`` when the problem was
     built with ``materialize=False``. ``lambda1[i-1]`` is the penalty weight
     of blade i's row constraint, ``lambda2`` the shared column weight.
-    ``constant_offset`` = m0^2 + sum(lambda1) + N * lambda2 comes from the other fields.
+    ``constant_offset`` = m0^2 + sum(lambda1) + N * lambda2 comes from the other fields;
+    a problem whose offset overflows float64 is a ``ValueError`` naming N and
+    the largest mass. A finite offset bounds every entry of the matrix.
     """
 
     matrix: np.ndarray | None
@@ -104,7 +99,14 @@ class QuboProblem:
     def __post_init__(self):
         lam = np.asarray(self.lambda1, dtype=float)
         _frozen_array(self, "lambda1", lam)
-        offset = self.disk.m0 ** 2 + float(lam.sum()) + self.n * self.lambda2
+        try:
+            offset = self.disk.m0 ** 2 + float(lam.sum()) + self.n * self.lambda2
+        except OverflowError:  # m0 ** 2 past float64
+            offset = math.inf
+        if not math.isfinite(offset):
+            raise ValueError(f"the QUBO of N={self.n} blades (largest mass "
+                             f"{float(self.blades.masses.max())!r}, m0 {self.disk.m0!r}) "
+                             "overflows float64: its constant offset is not finite")
         object.__setattr__(self, "constant_offset", offset)
         if self.matrix is not None:
             _frozen_array(self, "matrix", self.matrix)
@@ -204,7 +206,9 @@ def build_qubo(
     matrix whose column (i, j) is m_i * z_j, the matrix is
     q^T q + 2 diag(y^T q). Penalties are ``penalty_factor`` times the strict
     lower bounds from :func:`min_penalties`; :func:`check_penalty_factor`
-    rejects a factor that is not finite and above 1.
+    rejects a factor that is not finite and above 1. A problem whose constant
+    offset overflows is refused by :class:`QuboProblem` on that scalar alone,
+    with no overflow warning and before any matrix is allocated.
 
     With ``materialize=False`` no dense matrix is allocated; the problem can
     still be solved through its implicit evaluator. With ``materialize=True``
@@ -216,28 +220,27 @@ def build_qubo(
     ``ValueError`` naming N and the dimension.
     """
     penalty_factor = check_penalty_factor(penalty_factor)
-    n = blades.n
-    bounds, bound2 = min_penalties(blades, disk)
-    lambda1 = penalty_factor * bounds
-    lambda2 = penalty_factor * bound2
+    with np.errstate(over="ignore"):  # an infinite weight makes the offset infinite: refused
+        bounds, bound2 = min_penalties(blades, disk)
+        problem = QuboProblem(None, penalty_factor * bounds, penalty_factor * bound2, blades, disk)
+    if not materialize:
+        return problem
 
-    matrix = None
-    if materialize:
-        try:
-            matrix = np.empty((n * n, n * n))
-        except MemoryError:
-            raise ValueError(f"the dense QUBO of N={n} blades (dim {n * n}) is too large "
-                             "to allocate") from None
-        diagonal = _fill_objective(matrix, blades, disk)
-        objective_diagonal = diagonal.copy()
-        blocks = matrix.reshape(n, n, n, n)  # blocks[i, j, k, l] couples (i, j) with (k, l)
-        for i in range(n):
-            blocks[i, :, i, :] += lambda1[i]  # blade i in two slots
-            blocks[:, i, :, i] += lambda2  # slot i holding two blades
-        l1 = np.repeat(lambda1, n)
-        diagonal[:] = (objective_diagonal + (l1 - 2.0 * l1)) + lambda2 * (1.0 - 2.0)
-
-    return QuboProblem(matrix=matrix, lambda1=lambda1, lambda2=lambda2, blades=blades, disk=disk)
+    n, lambda1, lambda2 = problem.n, problem.lambda1, problem.lambda2
+    try:
+        matrix = np.empty((n * n, n * n))
+    except MemoryError:
+        raise ValueError(f"the dense QUBO of N={n} blades (dim {n * n}) is too large "
+                         "to allocate") from None
+    diagonal = _fill_objective(matrix, blades, disk)
+    objective_diagonal = diagonal.copy()
+    blocks = matrix.reshape(n, n, n, n)  # blocks[i, j, k, l] couples (i, j) with (k, l)
+    for i in range(n):
+        blocks[i, :, i, :] += lambda1[i]  # blade i in two slots
+        blocks[:, i, :, i] += lambda2  # slot i holding two blades
+    l1 = np.repeat(lambda1, n)
+    diagonal[:] = (objective_diagonal + (l1 - 2.0 * l1)) + lambda2 * (1.0 - 2.0)
+    return replace(problem, matrix=matrix)
 
 
 def encode(assignment: Assignment) -> BinaryConfiguration:
@@ -256,7 +259,8 @@ def decode(config) -> Assignment | ValidityReport:
     """
     if not isinstance(config, BinaryConfiguration):
         config = BinaryConfiguration(np.asarray(config))
-    mat = config.as_matrix()
+    n = math.isqrt(config.bits.size)
+    mat = config.bits.reshape(n, n)
     rows = mat.sum(axis=1)
     cols = mat.sum(axis=0)
     if np.all(rows == 1) and np.all(cols == 1):
@@ -268,17 +272,12 @@ def decode(config) -> Assignment | ValidityReport:
 
 
 def qubo_energy(problem: QuboProblem, config) -> float:
-    """x^T Q x with penalties included (constant_offset NOT added)."""
+    """x^T Q x with penalties included (constant_offset NOT added), from the
+    problem's evaluator, whether or not a matrix was materialized; a wrong
+    bit count is the evaluator's ``ValueError``."""
     if not isinstance(config, BinaryConfiguration):
         config = BinaryConfiguration(np.asarray(config))
-    if config.bits.size != problem.dimension:
-        raise ValueError(
-            f"configuration length {config.bits.size} does not match problem dimension {problem.dimension}"
-        )
-    if problem.matrix is not None:
-        x = config.bits.astype(float)
-        return float(x @ problem.matrix @ x)
-    ev = ImplicitEvaluator(problem)
+    ev = problem.evaluator()
     ev.reset(config.bits)
     return ev.energy()
 
@@ -386,24 +385,21 @@ class ImplicitEvaluator:
         deltas += self._col_pen
         return self._flat
 
-    def flip(self, a: int):
+    def flip(self, a: int, delta: float | None = None):
+        """Flip bit ``a`` and add ``delta`` to the energy: the ``flip_delta(a)``
+        the caller already holds, or computed here when it is None."""
+        self._energy += self.flip_delta(a) if delta is None else delta
         i, j = divmod(a, self._n)
         x = self._bits[a]
         s = 1 - 2 * x
-        m, zx, zy = self._m[i], self._zx[j], self._zy[j]
-        r, c = self._rows[i], self._cols[j]
-        li, lam2 = self._lambda1[i], self._lambda2
-        self._energy += (  # flip_delta(a), inlined to save a call per flip
-            2.0 * s * m * (self._ux * zx + self._uy * zy) + m * m
-            + li * (2.0 * s * (r - 1) + 1.0)
-            + lam2 * (2.0 * s * (c - 1) + 1.0)
-        )
-        self._ux += s * m * zx
-        self._uy += s * m * zy
-        self._rows[i] = r = r + s
-        self._cols[j] = c = c + s
+        m = self._m[i]
+        self._ux += s * m * self._zx[j]
+        self._uy += s * m * self._zy[j]
+        self._rows[i] = r = self._rows[i] + s
+        self._cols[j] = c = self._cols[j] + s
         self._bits[a] = 1 - x
         if self._tsm is not None:
+            li, lam2 = self._lambda1[i], self._lambda2
             self._bit_rows[i][j] = 1 - x
             self._tsm[i, j] = -2.0 * s * m
             pair = self._pair

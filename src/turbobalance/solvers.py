@@ -18,6 +18,7 @@ identical reports.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import itertools
@@ -304,8 +305,9 @@ def qubo_sa_solve(
         with np.errstate(divide="ignore"):  # u = 0 gives an infinite threshold
             threshold = (-t * np.log(rng.random(dim))).tolist()
         for a, th in zip(order, threshold):
-            if ev.flip_delta(a) < th:
-                ev.flip(a)
+            delta = ev.flip_delta(a)
+            if delta < th:
+                ev.flip(a, delta)
                 energy = ev.energy()
                 flip_log.append(a)
                 if energy < best_energy:
@@ -357,14 +359,15 @@ def tabu_solve(
     for k in range(max_iterations):
         all_flip_deltas()
         a = int(argmin())
-        if tabu_until[a] > k and not energy + deltas[a] < best_energy:
+        delta = deltas.item(a)  # read before the tabu mask can overwrite it
+        if tabu_until[a] > k and not energy + delta < best_energy:
             # float addition is monotone, so no costlier tabu move aspirates
             # either: pick the best non-tabu move, if any
             deltas[ring[:k]] = inf  # until the ring wraps, only k slots hold flips
             b = int(argmin())
             if deltas[b] != inf:
-                a = b
-        flip(a)
+                a, delta = b, deltas.item(b)
+        flip(a, delta)
         energy = energy_of()
         flip_log.append(a)
         tabu_until[a] = k + 1 + tenure
@@ -500,6 +503,17 @@ def keyword_parameters(entry) -> list:
             if p.default is not p.empty]
 
 
+@contextlib.contextmanager
+def prefixed(label: str):
+    """Re-raise a ``ValueError`` or ``TypeError`` of the block as
+    ``ValueError(f"{label}: {err}")``, its chain suppressed: the context a
+    failed check is reported in."""
+    try:
+        yield
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{label}: {err}") from None
+
+
 def check_parameters(solver: str, accepted: list, params: dict) -> None:
     """``ValueError`` unless ``params`` is a dict, each of its parameters is one of
     ``accepted``, the names ``solver`` takes, and its value passes its
@@ -510,7 +524,5 @@ def check_parameters(solver: str, accepted: list, params: dict) -> None:
         if name not in accepted:
             raise ValueError(f"solver {solver!r} takes no parameter {name!r}; it takes {accepted}")
         if name in PARAMETER_CHECKS:
-            try:
+            with prefixed(f"solver {solver!r}, parameter {name!r}"):
                 PARAMETER_CHECKS[name](value)
-            except (TypeError, ValueError) as err:
-                raise ValueError(f"solver {solver!r}, parameter {name!r}: {err}") from None

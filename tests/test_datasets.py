@@ -263,6 +263,13 @@ def test_standard_corpus_names_carry_the_base_seed(tmp_path):
     assert [name for name, _, _ in corpus] == names
 
 
+@pytest.mark.parametrize("base_seed", [-1, 1.5])
+def test_standard_corpus_refuses_a_base_seed_before_making_its_directory(tmp_path, base_seed):
+    with pytest.raises(ValueError, match="must be an integer of at least 0"):
+        standard_corpus(tmp_path / "corpus", base_seed=base_seed)
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_corpus_generation_is_deterministic(tmp_path):
     _, first = standard_corpus(tmp_path / "a", base_seed=4)
     _, second = standard_corpus(tmp_path / "b", base_seed=4)

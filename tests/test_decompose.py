@@ -51,7 +51,7 @@ def test_no_split_is_identical_to_sub_solver():
     direct = brute_force_solve(blades, disk)
     assert report.assignment == direct.assignment
     assert report.imbalance == pytest.approx(direct.imbalance, abs=1e-12)
-    assert trace.root.is_leaf
+    assert not trace.root.children
     assert trace.merge_report is None
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -377,32 +378,44 @@ def test_evaluator_does_not_drift_over_a_default_tabu_budget():
 @pytest.mark.parametrize("n", [12, 23])
 def test_all_flip_deltas_equal_the_from_scratch_formula_along_a_long_walk(n, kind):
     # the vector deltas are updated per flip; they must stay bit-equal to a
-    # recomputation from the bits, and to the scalar flip_delta
+    # recomputation from the bits, and to the scalar flip_delta. A twin
+    # evaluator is handed each flip's delta, as the solvers hand it theirs,
+    # and must stay bit-equal to the one that computes it
     if kind == "equal":
         blades, disk = BladeSet([1.0e4] * n), DiskImbalance()
     else:
         blades, disk = random_instance(np.random.default_rng(40 + n),
                                        n, with_disk=kind == "random-disk")
     problem = build_qubo(blades, disk, materialize=False)
-    ev = problem.evaluator()
+    ev, twin = problem.evaluator(), problem.evaluator()
     rng = np.random.default_rng(41 + n)
     steps = 5000
-    ev.reset(rng.integers(0, 2, size=problem.dimension, dtype=np.int8))
+    bits = rng.integers(0, 2, size=problem.dimension, dtype=np.int8)
+    ev.reset(bits)
+    twin.reset(bits)
     for step in range(steps):
         if step == steps // 2:
             # the parts are rebuilt for the new bits, after flips made without them
-            ev.reset(rng.integers(0, 2, size=problem.dimension, dtype=np.int8))
+            bits = rng.integers(0, 2, size=problem.dimension, dtype=np.int8)
+            ev.reset(bits)
+            twin.reset(bits)
             for a in rng.integers(0, problem.dimension, size=10).tolist():
+                twin.flip(a, ev.flip_delta(a))
                 ev.flip(a)
         deltas = ev.all_flip_deltas()
         assert np.array_equal(deltas, from_scratch_deltas(problem, ev.bits(), (ev._ux, ev._uy)))
+        assert np.array_equal(twin.all_flip_deltas(), deltas)
+        assert twin.energy() == ev.energy()
         # half the moves descend, so the walk also visits one-hot rows and columns
         a = int(np.argmin(deltas)) if step % 2 else int(rng.integers(problem.dimension))
         assert ev.flip_delta(a) == deltas[a]
+        twin.flip(a, deltas[a])
         ev.flip(a)
 
 
 def test_implicit_energy_matches_dense_qubo_energy():
+    # qubo_energy runs on the evaluator whether or not a matrix was built, so
+    # both problems give the same bits; x^T Q x of the built matrix is the reference
     rng = np.random.default_rng(28)
     blades, disk = random_instance(rng, 6, with_disk=True)
     dense_problem = build_qubo(blades, disk)
@@ -411,9 +424,10 @@ def test_implicit_energy_matches_dense_qubo_energy():
     assert implicit_problem.objective_matrix is None
     for _ in range(20):
         bits = rng.integers(0, 2, size=dense_problem.dimension, dtype=np.int8)
-        assert rel_close(
-            qubo_energy(dense_problem, bits), qubo_energy(implicit_problem, bits), 1e-6
-        )
+        x = bits.astype(float)
+        energy = qubo_energy(dense_problem, bits)
+        assert energy == qubo_energy(implicit_problem, bits)
+        assert rel_close(energy, float(x @ dense_problem.matrix @ x), 1e-6)
 
 
 def test_export_header_and_roundtrip():
@@ -640,3 +654,18 @@ def test_a_dense_matrix_too_large_to_allocate_is_a_value_error():
     with pytest.raises(ValueError, match=re.escape("N=10000 blades (dim 100000000)")):
         build_qubo(blades, DiskImbalance(), materialize=True)
     assert build_qubo(blades, DiskImbalance(), materialize=False).matrix is None
+
+
+@pytest.mark.parametrize("masses, m0", [
+    ([1e154, 2e154, 3e154], 0.0),  # the penalty weights overflow
+    ([3e153, 2e153, 1e153], 0.0),  # finite weights, but their sum in the offset overflows
+    ([1.0, 2.0, 3.0], 1e200),  # m0^2 overflows
+])
+@pytest.mark.parametrize("materialize", [True, False])
+def test_a_qubo_whose_constant_offset_overflows_is_refused_without_a_warning(
+        masses, m0, materialize):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"N=3 blades (largest mass {max(masses)!r}, m0 {m0!r}) overflows float64")):
+            build_qubo(BladeSet(masses), DiskImbalance(m0), materialize=materialize)
