@@ -43,6 +43,18 @@ EXPORT_CHUNK_LINES = 1 << 12
 _EXPORT_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
+def _check_bits(bits) -> np.ndarray:
+    """``bits`` as a 1-d int8 array, if it is a non-empty 1-d sequence of 0s
+    and 1s; ``ValueError`` otherwise."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or bits.size < 1:
+        raise ValueError("configuration must be a non-empty 1-d bit sequence")
+    # checked before the cast, which would truncate 0.5 to 0 and wrap 257 to 1
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("configuration entries must be 0 or 1")
+    return bits.astype(np.int8, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryConfiguration:
     """A point of {0,1}^(N^2); bits[(i-1)*N + (j-1)] is blade i / slot j."""
@@ -50,13 +62,7 @@ class BinaryConfiguration:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits)
-        if bits.ndim != 1 or bits.size < 1:
-            raise ValueError("configuration must be a non-empty 1-d bit sequence")
-        # checked before the cast, which would truncate 0.5 to 0 and wrap 257 to 1
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("configuration entries must be 0 or 1")
-        bits = bits.astype(np.int8, copy=False)
+        bits = _check_bits(self.bits)
         n = math.isqrt(bits.size)
         if n * n != bits.size:
             raise ValueError(f"configuration length {bits.size} is not a perfect square")
@@ -328,7 +334,9 @@ class ImplicitEvaluator:
         self.reset(np.zeros(self.dimension, dtype=np.int8))
 
     def reset(self, bits):
-        bits = np.asarray(bits, dtype=np.int8)
+        """Start from ``bits``: a 1-d sequence of ``dimension`` 0s and 1s, checked
+        by :func:`_check_bits` and then counted; ``ValueError`` otherwise."""
+        bits = _check_bits(bits)
         if bits.size != self.dimension:
             raise ValueError(f"expected {self.dimension} bits, got {bits.size}")
         n = self._n
@@ -428,19 +436,37 @@ def export_qubo(problem: QuboProblem, path):
 
 
 def _write_export(problem: QuboProblem, fh):
-    # one numpy pass and one write per matrix row, so the text never sits in memory as a whole
-    q = problem.matrix
-    fh.write(f"# dim {problem.dimension} offset {float(problem.constant_offset)!r}\n")
+    # one blade's n rows at a time, one write per matrix row, so the text never
+    # sits in memory as a whole. A block repeats its coefficients, so each
+    # distinct value goes through repr once; repr depends on the value alone
+    # (zeros, whose sign repr shows, are never written, and every NaN is "nan")
+    q, n, dim = problem.matrix, problem.n, problem.dimension
+    fh.write(f"# dim {dim} offset {float(problem.constant_offset)!r}\n")
+    column_texts = np.array([str(j) for j in range(dim)], dtype=object)
     try:
         with np.errstate(over="raise"):  # a finite element whose coefficient overflows
-            for i in range(problem.dimension):
-                row = q[i, i:]
-                offsets = np.flatnonzero(row)
-                values = row[offsets]
-                values[int(row[0] != 0.0):] *= 2.0  # the diagonal, offset 0, stays undoubled
-                fh.write("".join([
-                    f"{i} {j} {v!r}\n" for j, v in zip((offsets + i).tolist(), values.tolist())
-                ]))
+            for start in range(0, dim, n):
+                columns, values = [], []
+                for i in range(start, start + n):
+                    row = q[i, i:]
+                    offsets = np.flatnonzero(row)
+                    row_values = row[offsets]
+                    row_values[int(row[0] != 0.0):] *= 2.0  # the diagonal, offset 0, stays undoubled
+                    columns.append(offsets + i)
+                    values.append(row_values)
+                table, inverse = np.unique(np.concatenate(values), return_inverse=True)
+                value_texts = np.array([f" {v!r}\n" for v in table.tolist()], dtype=object)
+                entries = np.empty((inverse.size, 3), dtype=object)
+                entries[:, 1] = column_texts[np.concatenate(columns)]
+                entries[:, 2] = value_texts[inverse]
+                end = 0
+                for i, row_columns in enumerate(columns, start):
+                    begin, end = end, end + row_columns.size
+                    entries[begin:end, 0] = f"{i} "
+                    fh.write("".join(entries[begin:end].ravel().tolist()))
+                # freed before the next block allocates its own: memory the heap
+                # held for two blocks at once would stay resident after the export
+                del table, inverse, value_texts, entries
     except FloatingPointError:
         above = np.isfinite(row[1:]) & (np.abs(row[1:]) > np.finfo(np.float64).max / 2)
         j = i + 1 + int(np.argmax(above))

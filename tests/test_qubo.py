@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import os
 import re
 import tracemalloc
 import warnings
@@ -251,6 +252,20 @@ def test_evaluator_reset_rejects_the_wrong_bit_count():
     evaluator = build_qubo(BladeSet([1.0, 2.0]), DiskImbalance(), materialize=False).evaluator()
     with pytest.raises(ValueError, match="expected 4 bits, got 9"):
         evaluator.reset(np.zeros(9, dtype=np.int8))
+
+
+@pytest.mark.parametrize("bits, message", [
+    ([2, 0, 0, 0], "entries must be 0 or 1"),  # would be kept as a 2
+    ([0.5, 1, 1, 0], "entries must be 0 or 1"),  # would be truncated to 0
+    ([257, 0, 0, 0], "entries must be 0 or 1"),  # would overflow int8
+    ([[1, 0], [0, 1]], "non-empty 1-d bit sequence"),  # the right count, but 2-d
+], ids=["two", "half", "257", "2-d"])
+def test_evaluator_reset_refuses_what_a_configuration_refuses(bits, message):
+    evaluator = build_qubo(BladeSet([1.0, 2.0]), DiskImbalance(), materialize=False).evaluator()
+    with pytest.raises(ValueError, match=message):
+        BinaryConfiguration(np.asarray(bits))
+    with pytest.raises(ValueError, match=message):
+        evaluator.reset(bits)
 
 
 def _enumerate_minimum(problem):
@@ -615,8 +630,16 @@ def unusual_problem():
     lambda: build_qubo(generate("NORM", 20, seed=3).blade_set(), DiskImbalance(500.0, 1.0)),
     lambda: build_qubo(*random_instance(np.random.default_rng(32), 4, with_disk=True)),
     lambda: build_qubo(BladeSet(np.full(5, 100.0)), DiskImbalance()),
+    lambda: build_qubo(generate("BETA", 30, seed=4).blade_set(), DiskImbalance(300.0, 2.0)),
     unusual_problem,
-], ids=["norm20", "random4-disk", "equal-mass", "unusual"])
+    lambda: hand_built_problem({
+        # blade 1's rows 0-2: a NaN, and a value next to its negation
+        (0, 0): 2.5, (0, 1): 1.5, (0, 2): -1.5, (1, 4): np.nan, (2, 2): 0.1,
+        # blade 2's rows 3-5: a NaN, one of blade 1's coefficients and two new ones
+        (3, 3): -0.75, (3, 4): 1.5, (4, 5): np.nan, (5, 5): 7.0,
+        # blade 3's rows 6-8 stay all zero
+    }),
+], ids=["norm20", "random4-disk", "equal-mass", "beta30-disk", "unusual", "nan-blocks"])
 def test_export_equals_the_per_entry_reference(make_problem):
     problem = make_problem()
     buffer = CountingBuffer()
@@ -627,6 +650,20 @@ def test_export_equals_the_per_entry_reference(make_problem):
     assert [(a, b) for a, b in zip(got.splitlines(), expected.splitlines()) if a != b][:1] == []
     assert got == expected
     assert buffer.writes == problem.dimension + 1  # the header, then one write per row
+
+
+def test_export_peaks_below_half_a_matrix():
+    # the writer tabulates one blade's rows at a time; a table over the whole
+    # matrix would hold about as many values as the matrix has elements
+    problem = build_qubo(generate("BETA", 40, seed=0).blade_set(), DiskImbalance(300.0, 2.0))
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            export_qubo(problem, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < problem.matrix.nbytes / 2
 
 
 @pytest.mark.parametrize("value", [1e308, -1e308, float(np.nextafter(HALF_MAX, np.inf))])
