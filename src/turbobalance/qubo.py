@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -37,9 +36,9 @@ from .model import (
 )
 
 DEFAULT_PENALTY_FACTOR = 10.0
-#: entry lines :func:`load_qubo_export` parses at a time, about 110 KiB of export
-#: text; larger chunks parse no faster and leave more memory held after a load
-EXPORT_CHUNK_LINES = 1 << 12
+#: characters of entry text :func:`load_qubo_export` reads at a time (about 2,400
+#: lines); larger blocks parse no faster and raise the peak memory of a load
+EXPORT_CHUNK_CHARS = 1 << 16
 _EXPORT_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
@@ -490,9 +489,9 @@ def load_qubo_export(path):
 
 
 def _read_export(fh):
-    # a chunk of lines at a time, so the text never sits in memory as a whole
-    lines = iter(fh)
-    header = next((ln for ln in lines if ln.strip()), None)
+    # a block of lines at a time, so the text never sits in memory as a whole;
+    # lines end at "\n" only, as a text stream's lines do
+    header = next((ln for ln in fh if ln.strip()), None)
     if header is None:
         raise ValueError("empty QUBO export: expected a '# dim <n> offset <value>' header")
     head = header.split()
@@ -507,10 +506,12 @@ def _read_export(fh):
         raise ValueError(
             f"malformed header line: {header.strip()!r} (expected '# dim <n> offset <value>')"
         ) from None
-    entry_lines = filter(str.strip, lines)
-    while chunk := list(islice(entry_lines, EXPORT_CHUNK_LINES)):
+    while block := fh.read(EXPORT_CHUNK_CHARS):
+        chunk = (block + fh.readline()).split("\n")  # the block's last line finished
+        if not chunk[-1]:  # the empty string after a final newline
+            chunk.pop()
         if not _write_parsed_chunk(q, chunk):
-            _write_entry_lines(q, chunk)
+            _write_entry_lines(q, [ln for ln in chunk if ln.strip()])
     return q, offset
 
 
@@ -518,17 +519,19 @@ def _write_parsed_chunk(q: np.ndarray, chunk: list) -> bool:
     """Write the entry lines ``chunk`` into ``q`` through numpy's parser and
     return True, or write nothing and return False.
 
-    True needs every line to parse, every index to lie in range and no two
-    entries to name one pair, so no two writes hit one cell. numpy's parser
-    accepts part of what ``int`` and ``float`` accept, and reads it to the
-    same values; on a refused chunk :func:`_write_entry_lines` writes the
-    same matrix or raises."""
+    True needs every line to be three fields joined by single spaces, as
+    :func:`export_qubo` writes them (numpy skips a blank line, so its chunk is
+    refused), every index to lie in range and no two entries to name one pair,
+    so no two writes hit one cell. numpy's parser accepts part of what
+    ``str.split``, ``int`` and ``float`` accept, and reads it to the same
+    values; on a refused chunk :func:`_write_entry_lines` writes the same
+    matrix or raises."""
     try:
         with warnings.catch_warnings():
             # a warning refuses the chunk too: older numpy parses '1.0' into an
             # int64 field with a DeprecationWarning, where int() raises
             warnings.simplefilter("error")
-            entries = np.loadtxt(chunk, dtype=_EXPORT_ENTRY, comments=None, ndmin=1)
+            entries = np.loadtxt(chunk, _EXPORT_ENTRY, comments=None, delimiter=" ", ndmin=1)
     except (ValueError, Warning):
         return False
     if entries.size != len(chunk):

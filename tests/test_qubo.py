@@ -28,7 +28,7 @@ from turbobalance import (
 )
 from turbobalance.model import SlotGeometry
 from turbobalance.qubo import (
-    EXPORT_CHUNK_LINES,
+    EXPORT_CHUNK_CHARS,
     load_qubo_export,
     objective_matrix_termwise,
 )
@@ -538,27 +538,61 @@ def norm20_export():
     return buffer.getvalue()
 
 
+def small_export():
+    """Export text of a random dim-16 problem: 136 entry lines."""
+    buffer = io.StringIO()
+    export_qubo(build_qubo(*random_instance(np.random.default_rng(31), 4, with_disk=True)), buffer)
+    return buffer.getvalue()
+
+
 def test_load_equals_the_per_line_reference_on_exports(norm20_export):
-    assert norm20_export.count("\n") - 1 > EXPORT_CHUNK_LINES  # more than one chunk
-    small = io.StringIO()
-    export_qubo(build_qubo(*random_instance(np.random.default_rng(31), 4, with_disk=True)), small)
-    for text in (norm20_export, small.getvalue()):
+    header = norm20_export.index("\n") + 1
+    assert len(norm20_export) - header > EXPORT_CHUNK_CHARS  # more than one block
+    for text in (norm20_export, small_export()):
         matrix, offset = load_qubo_export(io.StringIO(text))
         expected, expected_offset = reference_load(text)
         assert np.array_equal(matrix, expected)
         assert offset == expected_offset
 
 
-@pytest.mark.parametrize("chunk_lines", [2, EXPORT_CHUNK_LINES])
+@pytest.mark.parametrize("chunk_chars", [1, 7, 40, EXPORT_CHUNK_CHARS])
+def test_load_parses_every_export_line_with_numpy(monkeypatch, norm20_export, chunk_chars):
+    # export_qubo writes no line that numpy's single-space parse refuses, so at
+    # any block size the per-line reader is never called
+    def refuse(q, chunk):
+        raise AssertionError(f"per-line reader called on {chunk[:2]!r}")
+
+    monkeypatch.setattr("turbobalance.qubo._write_entry_lines", refuse)
+    monkeypatch.setattr("turbobalance.qubo.EXPORT_CHUNK_CHARS", chunk_chars)
+    texts = [small_export()]
+    if chunk_chars == EXPORT_CHUNK_CHARS:  # NORM20 in blocks of a few lines takes seconds
+        texts.append(norm20_export)
+    for text in texts:
+        matrix, offset = load_qubo_export(io.StringIO(text))
+        expected, expected_offset = reference_load(text)
+        assert np.array_equal(matrix, expected)
+        assert offset == expected_offset
+
+
+# block sizes that cut lines in the middle (1, 2, 7, 40) and that hold a whole
+# text (4096 and the default)
+@pytest.mark.parametrize("chunk_chars", [1, 2, 7, 40, 4096, EXPORT_CHUNK_CHARS])
 @pytest.mark.parametrize("entries", [
     "0 1 2.0\n1 1 3.0\n2 3 4.0\n0 1 5.0\n",  # a repeated pair: the last entry wins
     "0 1 2.0\n1 0 6.0\n",  # one pair in both orders
     "\n0 1 2.0\n   \n\n1 1 3.0\n\t\n2 2 1.5\n",  # blank lines between entries
     "0\t1\t2.0\n1\x0b2\x0b3.0\n",  # tab and vertical-tab separators
     "1_0 3 2.0\n3 3 1.0\n",  # an index that int() reads and numpy refuses
-], ids=["repeated", "both-orders", "blank-lines", "tab-vtab", "underscore"])
-def test_load_equals_the_per_line_reference_on_unusual_lines(monkeypatch, chunk_lines, entries):
-    monkeypatch.setattr("turbobalance.qubo.EXPORT_CHUNK_LINES", chunk_lines)
+    "0 1 2.0\n1 1 3.0\n2 3 4.0",  # no newline after the last entry
+    "0 1 2.0\r\n1 1 3.0\r\n\r\n2 3 4.0\r\n",  # "\r\n" endings and a blank line
+    "0  1 2.0\n1 1 3.0 \n 2 3 4.0\n",  # doubled, trailing and leading spaces
+    # five 8-character lines, then a blank line where a 40-character block ends
+    # (and where every shorter block starts)
+    "0 1 2.0\n1 1 3.0\n2 3 4.0\n0 2 5.0\n3 3 1.0\n\n1 2 2.5\n",
+], ids=["repeated", "both-orders", "blank-lines", "tab-vtab", "underscore", "no-final-newline",
+        "crlf", "spaces", "blank-at-block-end"])
+def test_load_equals_the_per_line_reference_on_unusual_lines(monkeypatch, chunk_chars, entries):
+    monkeypatch.setattr("turbobalance.qubo.EXPORT_CHUNK_CHARS", chunk_chars)
     text = "# dim 16 offset 0.5\n" + entries
     matrix, offset = load_qubo_export(io.StringIO(text))
     expected, expected_offset = reference_load(text)
@@ -569,7 +603,12 @@ def test_load_equals_the_per_line_reference_on_unusual_lines(monkeypatch, chunk_
 @pytest.mark.parametrize("bad", ["5 400 1.0\n", "5 7 x\n"], ids=["out-of-range", "malformed"])
 def test_load_raises_the_reference_message_from_the_second_chunk(norm20_export, bad):
     lines = norm20_export.splitlines(keepends=True)
-    at = EXPORT_CHUNK_LINES + 100  # lines[0] is the header
+    ends = np.cumsum([len(ln) for ln in lines])
+    # the first block ends on the line holding its last character, or on the
+    # next line; lines[0] is the header
+    last = int(np.searchsorted(ends, ends[0] + EXPORT_CHUNK_CHARS))
+    at = last + 100
+    assert at < len(lines)
     text = "".join(lines[:at] + [bad] + lines[at:])
     with pytest.raises(ValueError) as expected:
         reference_load(text)

@@ -92,9 +92,10 @@ def _header_fault(text):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(text=mutated_exports())
 def test_load_equals_the_reference_or_quotes_the_line(text):
-    # chunks of 3 lines, so one text takes both numpy's chunk parser and the per-line fallback
+    # blocks of 40 characters, about two lines, cut lines in the middle, so one
+    # text takes both numpy's chunk parser and the per-line fallback
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("turbobalance.qubo.EXPORT_CHUNK_LINES", 3)
+        patch.setattr("turbobalance.qubo.EXPORT_CHUNK_CHARS", 40)
         try:
             matrix, offset = load_qubo_export(io.StringIO(text))
             refused = None
