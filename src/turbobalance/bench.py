@@ -128,9 +128,11 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
 
     ``instances`` is an iterable of (name, BladeSet, DiskImbalance). Bad input
     raises ``ValueError`` before anything runs: ``repetitions`` or ``jobs``
-    below 1, an empty or repeated solver list, an instance name given
-    twice, an unknown solver,
-    ``solver_params`` that is not a dict, parameters
+    below 1, a ``base_seed`` below 0 (each checked by
+    :func:`~turbobalance.solvers.check_count`, so a float or a bool is
+    refused, not truncated), an empty or repeated solver list, an instance
+    name given twice, an unknown solver, ``solver_params`` that is not a
+    dict, parameters
     (``solver_params[solver]``) that a solver does not take or whose value
     fails its bound (:data:`~turbobalance.solvers.PARAMETER_CHECKS`), and an
     instance with more blades, or decompose groups, than a solver takes
@@ -142,6 +144,8 @@ def iter_benchmark(instances, solvers, repetitions: int = 10, base_seed: int = 0
     if not isinstance(params, dict):
         raise ValueError(f"solver_params maps each solver to its parameters; got {params!r}")
     repetitions, jobs = check_count(repetitions), check_count(jobs)
+    with prefixed("base_seed"):
+        base_seed = check_count(base_seed, least=0)
     if not solvers:
         raise ValueError("no solver given")
     names = [name for name, _blades, _disk in instances]

@@ -127,7 +127,7 @@ def _build_parser() -> _Parser:
                      type=lambda text: [name.strip() for name in text.split(",") if name.strip()],
                      help="comma-separated solver names")
     run.add_argument("--repetitions", type=_COUNT, default=10)
-    run.add_argument("--base-seed", type=int, default=0)
+    run.add_argument("--base-seed", type=_SEED, default=0)
     run.add_argument("--jobs", type=_COUNT, default=1)
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--out", type=Path, default=None, help="records file (default: stdout)")

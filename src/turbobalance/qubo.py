@@ -291,8 +291,9 @@ class ImplicitEvaluator:
     """Matrix-free single-flip evaluation, the one QUBO state of the solvers.
 
     State is the bits, the running center-of-mass vector u = y + sum of
-    active m_i*z_j, the row/column popcounts and the energy; a flip delta and
-    a flip are O(1). Energies match x^T Q x of the materialized matrix.
+    active m_i*z_j, the row/column popcounts, the energy, and the incumbent:
+    the first visit of the lowest energy since the reset. A flip delta and a
+    flip are O(1). Energies match x^T Q x of the materialized matrix.
 
     The delta of flipping (i, j) is a center-of-mass term
     2(1 - 2x) m_i (u . z_j) + m_i^2, which every flip changes, plus a row-i
@@ -312,7 +313,7 @@ class ImplicitEvaluator:
     __slots__ = ("dimension", "_n", "_m", "_zx", "_zy", "_lambda1", "_lambda2", "_y",
                  "_offset", "_arrays", "_m_sq", "_flat", "_deltas", "_pair", "_bits",
                  "_rows", "_cols", "_ux", "_uy", "_energy", "_tsm", "_row_pen", "_col_pen",
-                 "_bit_rows", "_bit_cols", "_pen_rows", "_pen_cols")
+                 "_bit_rows", "_bit_cols", "_pen_rows", "_pen_cols", "_log", "_best", "_best_at")
 
     def __init__(self, problem: QuboProblem):
         n = problem.n
@@ -353,12 +354,21 @@ class ImplicitEvaluator:
         ) + self._lambda2 * sum((c - 1) ** 2 for c in self._cols)
         self._energy = self._ux * self._ux + self._uy * self._uy + pen - self._offset
         self._tsm = None  # the N x N parts, built by the next all_flip_deltas
+        self._log, self._best, self._best_at = [], self._energy, 0
 
     def energy(self) -> float:
         return self._energy
 
     def bits(self) -> np.ndarray:
         return np.asarray(self._bits, dtype=np.int8)
+
+    def best_energy(self) -> float:
+        return self._best
+
+    def best_bits(self) -> np.ndarray:
+        """The incumbent: the bits with every flip logged after it reverted."""
+        reverted = np.bincount(self._log[self._best_at:], minlength=self.dimension) % 2
+        return self.bits() ^ reverted.astype(np.int8)
 
     def flip_delta(self, a: int) -> float:
         i, j = divmod(a, self._n)
@@ -395,7 +405,10 @@ class ImplicitEvaluator:
     def flip(self, a: int, delta: float | None = None):
         """Flip bit ``a`` and add ``delta`` to the energy: the ``flip_delta(a)``
         the caller already holds, or computed here when it is None."""
-        self._energy += self.flip_delta(a) if delta is None else delta
+        self._energy = energy = self._energy + (self.flip_delta(a) if delta is None else delta)
+        self._log.append(a)
+        if energy < self._best:
+            self._best, self._best_at = energy, len(self._log)
         i, j = divmod(a, self._n)
         x = self._bits[a]
         s = 1 - 2 * x

@@ -95,19 +95,20 @@ class SolveReport:
 class AnnealSchedule:
     """Geometric cooling from ``t_initial`` to ``t_final`` over ``sweeps``
     sweeps: sweep k runs at t_initial * alpha**k, where alpha is the ratio
-    that lands the last sweep on ``t_final``."""
+    that lands the last sweep on ``t_final``. Both temperatures are finite,
+    and their ratio is a normal float in (0, 1), so it does not round to 0."""
 
     t_initial: float
     t_final: float
     sweeps: int
 
     def __post_init__(self):
-        if not (self.t_initial > 0.0 and self.t_final > 0.0):
-            raise ValueError("temperatures must be positive")
-        if not self.t_final < self.t_initial:
-            raise ValueError(
-                f"t_final must be below t_initial, got {self.t_final} >= {self.t_initial}"
-            )
+        if not 0.0 < self.t_final < self.t_initial < math.inf:
+            raise ValueError(f"temperatures must be finite, with 0 < t_final < t_initial, "
+                             f"got t_final {self.t_final} and t_initial {self.t_initial}")
+        if self.t_final / self.t_initial < np.finfo(np.float64).tiny:
+            raise ValueError(f"t_final / t_initial underflows float64, "
+                             f"got {self.t_final} / {self.t_initial}")
         object.__setattr__(self, "sweeps", check_count(self.sweeps))
 
     def temperatures(self) -> np.ndarray:
@@ -261,13 +262,9 @@ def default_qubo_schedule(problem: QuboProblem, sweeps: int = 500) -> AnnealSche
     return AnnealSchedule(t_initial, 1e-8 * t_initial, sweeps)
 
 
-def _report_from_bits(problem, bits, undo, iterations):
-    """Report of the search's incumbent: ``bits`` (a list or array, changed
-    in place) with the flips in ``undo`` reverted, latest first, then
-    decoded."""
-    for a in reversed(undo):
-        bits[a] ^= 1
-    config = BinaryConfiguration(np.asarray(bits, dtype=np.int8))
+def _report_from_bits(problem, bits, iterations):
+    """Report of the search's incumbent ``bits``, decoded; it may be invalid."""
+    config = BinaryConfiguration(bits)
     decoded = decode(config)
     if isinstance(decoded, Assignment):
         return SolveReport.of_assignment(
@@ -296,10 +293,6 @@ def qubo_sa_solve(
     ev = problem.evaluator()
     ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
 
-    best_energy = ev.energy()
-    flip_log = []
-    best_pos = 0
-
     for t in schedule.temperatures().tolist():
         order = rng.permutation(dim).tolist()
         with np.errstate(divide="ignore"):  # u = 0 gives an infinite threshold
@@ -308,13 +301,8 @@ def qubo_sa_solve(
             delta = ev.flip_delta(a)
             if delta < th:
                 ev.flip(a, delta)
-                energy = ev.energy()
-                flip_log.append(a)
-                if energy < best_energy:
-                    best_energy = energy
-                    best_pos = len(flip_log)
 
-    return _report_from_bits(problem, ev.bits(), flip_log[best_pos:], schedule.sweeps * dim)
+    return _report_from_bits(problem, ev.best_bits(), schedule.sweeps * dim)
 
 
 def tabu_solve(
@@ -332,11 +320,11 @@ def tabu_solve(
     variable index. The only randomness is the seeded starting configuration.
 
     The search drives the problem's
-    :class:`~turbobalance.qubo.ImplicitEvaluator`, whose vector deltas cost a
-    few O(N^2) passes per iteration, and keeps only the tabu rules: the last
-    ``min(tenure, max_iterations)`` flips sit in a ring, so one fancy
-    assignment of ``+inf`` masks every tabu move. Nothing is sized by
-    ``tenure`` alone.
+    :class:`~turbobalance.qubo.ImplicitEvaluator`, which keeps the incumbent
+    and whose vector deltas cost a few O(N^2) passes per iteration. The search
+    keeps only the tabu rules: the last ``min(tenure, max_iterations)`` flips
+    sit in a ring, so one fancy assignment of ``+inf`` masks every tabu move.
+    Nothing is sized by ``tenure`` alone.
     """
     dim = problem.dimension
     tenure = 10 + problem.n if tenure is None else check_count(tenure)
@@ -345,22 +333,19 @@ def tabu_solve(
     rng = np.random.default_rng(seed)
     ev = problem.evaluator()
     ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
-    all_flip_deltas, flip, energy_of = ev.all_flip_deltas, ev.flip, ev.energy
+    all_flip_deltas, flip = ev.all_flip_deltas, ev.flip
+    energy, best_energy = ev.energy, ev.best_energy
     deltas = all_flip_deltas()
     argmin, inf = deltas.argmin, math.inf  # the evaluator reuses one delta buffer
     ring = np.empty(min(tenure, max_iterations), dtype=np.intp)  # the last flips
     ring_len = len(ring)
-
-    energy = best_energy = energy_of()
-    flip_log = []
-    best_pos = 0
     tabu_until = [0] * dim
 
     for k in range(max_iterations):
         all_flip_deltas()
         a = int(argmin())
         delta = deltas.item(a)  # read before the tabu mask can overwrite it
-        if tabu_until[a] > k and not energy + delta < best_energy:
+        if tabu_until[a] > k and not energy() + delta < best_energy():
             # float addition is monotone, so no costlier tabu move aspirates
             # either: pick the best non-tabu move, if any
             deltas[ring[:k]] = inf  # until the ring wraps, only k slots hold flips
@@ -368,15 +353,10 @@ def tabu_solve(
             if deltas[b] != inf:
                 a, delta = b, deltas.item(b)
         flip(a, delta)
-        energy = energy_of()
-        flip_log.append(a)
         tabu_until[a] = k + 1 + tenure
         ring[k % ring_len] = a
-        if energy < best_energy:
-            best_energy = energy
-            best_pos = len(flip_log)
 
-    return _report_from_bits(problem, ev.bits(), flip_log[best_pos:], max_iterations)
+    return _report_from_bits(problem, ev.best_bits(), max_iterations)
 
 
 def brute_force_solve(blades: BladeSet, disk: DiskImbalance) -> SolveReport:

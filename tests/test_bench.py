@@ -262,12 +262,17 @@ def test_brute_force_above_its_cap_is_refused_before_any_run(monkeypatch):
 @pytest.mark.parametrize("name, value", [
     ("repetitions", 0), ("repetitions", True), ("repetitions", 2.5), ("repetitions", "x"),
     ("jobs", 0), ("jobs", -3), ("jobs", False), ("jobs", 1.0),
+    ("base_seed", 1.5), ("base_seed", True), ("base_seed", -1),
 ])
 def test_repetitions_and_jobs_below_one_fail_before_any_run(monkeypatch, name, value):
-    # the bound of the --repetitions and --jobs flags, for library callers
+    # the bounds of the --repetitions, --jobs and --base-seed flags, for library
+    # callers; a base seed may be 0, and one that is not an integer is not truncated
     monkeypatch.setattr(turbobalance.bench, "_execute_run", lambda task: pytest.fail("a run started"))
     counts = {"repetitions": 1, "jobs": 1, name: value}
-    with pytest.raises(ValueError, match=re.escape(f"at least 1, got {value!r}")):
+    least = 0 if name == "base_seed" else 1
+    prefix = "base_seed: " if name == "base_seed" else ""
+    with pytest.raises(ValueError, match=re.escape(f"{prefix}must be an integer of at least {least}, "
+                                                   f"got {value!r}")):
         run_benchmark(_tiny_corpus(), ["heuristic"], **counts)
 
 

@@ -405,6 +405,7 @@ def test_usage_error_exits_one(tmp_path, capsys):
     ("bench", "imbalance-sa", "--sa-sweeps", "0"),
     ("bench", "qubo-sa", "--qubo-sweeps", "0"),
     ("bench", "heuristic", "--jobs", "two"),
+    ("bench", "heuristic", "--base-seed", "-1"),  # a seed may be 0
     ("solve", "tabu", "--tenure", "0"),
     ("solve", "imbalance-sa", "--sweeps", "0"),
 ])
@@ -422,7 +423,8 @@ def test_count_flag_below_one_exits_one_before_any_output(tmp_path, capsys, comm
     assert run_cli([*argv, flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage: turbobalance {command} [-h]")
-    assert f"argument {flag}: must be an integer of at least 1" in err
+    least = 0 if flag == "--base-seed" else 1
+    assert f"argument {flag}: must be an integer of at least {least}" in err
     assert not out.exists()
 
 

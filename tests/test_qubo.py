@@ -428,6 +428,57 @@ def test_all_flip_deltas_equal_the_from_scratch_formula_along_a_long_walk(n, kin
         ev.flip(a)
 
 
+@pytest.mark.parametrize("with_disk", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_evaluator_keeps_the_first_visit_of_the_lowest_energy(n, with_disk):
+    # a seeded walk that half descends, so new lows keep coming; the flips mix
+    # flip(a) with flip(a, flip_delta(a)), and the start counts as a visit
+    blades, disk = random_instance(np.random.default_rng(60 + n), n, with_disk=with_disk)
+    problem = build_qubo(blades, disk, materialize=False)
+    ev = problem.evaluator()
+    rng = np.random.default_rng(70 + n)
+    ev.reset(rng.integers(0, 2, size=problem.dimension, dtype=np.int8))
+    lowest, first_bits = ev.energy(), ev.bits()
+    for step in range(200):
+        if step % 2:
+            a = int(rng.integers(problem.dimension))
+        else:
+            a = int(np.argmin([ev.flip_delta(b) for b in range(problem.dimension)]))
+        if step % 3:
+            ev.flip(a)
+        else:
+            ev.flip(a, ev.flip_delta(a))
+        if ev.energy() < lowest:
+            lowest, first_bits = ev.energy(), ev.bits()
+        assert ev.best_energy() == lowest, step
+        assert np.array_equal(ev.best_bits(), first_bits), step
+    # a new start is the incumbent, whatever the old walk found
+    start = rng.integers(0, 2, size=problem.dimension, dtype=np.int8)
+    ev.reset(start)
+    assert ev.best_energy() == ev.energy()
+    assert np.array_equal(ev.best_bits(), start)
+
+
+@pytest.mark.parametrize("masses", [[1.0, 1.0, 1.0], [1.0e4] * 4, [5.0, 5.0, 2.0, 7.0]])
+def test_an_equal_energy_later_does_not_replace_the_incumbent(masses):
+    # blades 1 and 2 have equal masses, so flipping (1, 1) or (2, 1) from the
+    # all-zero start takes the same float operations: two bit strings of
+    # exactly one energy. Flipping (1, 1) and undoing it comes back to the start
+    problem = build_qubo(BladeSet(masses), DiskImbalance(), materialize=False)
+    ev = problem.evaluator()
+    ev.reset(np.zeros(problem.dimension, dtype=np.int8))
+    ev.flip(0)
+    first = ev.bits()
+    lowest = ev.energy()
+    ev.flip(0)  # the undo: higher again
+    assert ev.best_energy() == lowest
+    assert np.array_equal(ev.best_bits(), first)
+    ev.flip(problem.n)  # blade 2 into slot 1: the same energy, other bits
+    assert ev.energy() == lowest and not np.array_equal(ev.bits(), first)
+    assert ev.best_energy() == lowest
+    assert np.array_equal(ev.best_bits(), first)
+
+
 def test_implicit_energy_matches_dense_qubo_energy():
     # qubo_energy runs on the evaluator whether or not a matrix was built, so
     # both problems give the same bits; x^T Q x of the built matrix is the reference

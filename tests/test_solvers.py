@@ -126,6 +126,32 @@ def test_anneal_schedule_validation():
         AnnealSchedule(1.0, 0.5, 0)
 
 
+@pytest.mark.parametrize("t_initial, t_final, message", [
+    # an infinite start cooled as inf, nan, nan, ... (inf * 0), with a warning
+    (math.inf, 1.0, "finite, with 0 < t_final < t_initial"),
+    (math.inf, math.inf, "finite, with 0 < t_final < t_initial"),
+    (math.nan, 1.0, "finite, with 0 < t_final < t_initial"),
+    (1.0, math.nan, "finite, with 0 < t_final < t_initial"),
+    (1.0, -0.5, "finite, with 0 < t_final < t_initial"),
+    # a ratio that rounds to 0 cooled every sweep after the first to 0, not to t_final
+    (1e308, 1e-308, "t_final / t_initial underflows"),
+    (1e300, 1e-300, "t_final / t_initial underflows"),
+    (1e10, 1e-300, "t_final / t_initial underflows"),
+])
+def test_anneal_schedule_refuses_a_cooling_it_cannot_compute(t_initial, t_final, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            AnnealSchedule(t_initial, t_final, 5)
+
+
+def test_a_schedule_scaled_past_float64_names_its_temperatures():
+    # (2 * spread + d)^2 overflows, so both temperatures are inf; so does the
+    # start's d, whose norm squares the residual first
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="t_final inf and t_initial inf"):
+        default_imbalance_schedule(BladeSet([1e155, 1.0, 5.0]), DiskImbalance())
+
+
 @pytest.mark.parametrize("value", [7, np.int64(7), np.uint8(7), "7"])
 def test_a_count_is_returned_as_an_int(value):
     count = check_count(value)
@@ -140,6 +166,8 @@ def test_anneal_schedule_geometric_endpoints():
     assert temps[0] == pytest.approx(100.0)
     assert temps[-1] == pytest.approx(1.0, rel=1e-9)
     assert np.all(np.diff(temps) < 0)
+    tiny = np.finfo(np.float64).tiny  # the smallest ratio taken: the last sweep still lands
+    assert AnnealSchedule(1.0, tiny, 3).temperatures()[-1] == pytest.approx(tiny, rel=1e-12)
 
 
 def test_imbalance_sa_two_equal_masses_single_sweep():
