@@ -149,7 +149,11 @@ class ImbalanceResult:
         if vector.shape != (2,):
             raise ValueError(f"imbalance vector must have shape (2,), got {vector.shape}")
         _frozen_array(self, "vector", vector)
-        object.__setattr__(self, "d", float(np.linalg.norm(vector)))
+        with np.errstate(over="ignore"):  # a sum of squares past float64, redone below
+            d = float(np.linalg.norm(vector))
+        if d == math.inf:  # hypot does not square, so a finite residual stays finite
+            d = math.hypot(*vector.tolist())
+        object.__setattr__(self, "d", d)
 
 
 def derive_seed(*parts, sep: str = ":") -> int:

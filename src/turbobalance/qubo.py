@@ -292,8 +292,10 @@ class ImplicitEvaluator:
 
     State is the bits, the running center-of-mass vector u = y + sum of
     active m_i*z_j, the row/column popcounts, the energy, and the incumbent:
-    the first visit of the lowest energy since the reset. A flip delta and a
-    flip are O(1). Energies match x^T Q x of the materialized matrix.
+    the first visit of the lowest energy since the reset, held as its energy
+    and the set of bits flipped an odd number of times since it (O(dimension)
+    memory). A flip delta and a flip are O(1). Energies match x^T Q x of the
+    materialized matrix.
 
     The delta of flipping (i, j) is a center-of-mass term
     2(1 - 2x) m_i (u . z_j) + m_i^2, which every flip changes, plus a row-i
@@ -313,7 +315,7 @@ class ImplicitEvaluator:
     __slots__ = ("dimension", "_n", "_m", "_zx", "_zy", "_lambda1", "_lambda2", "_y",
                  "_offset", "_arrays", "_m_sq", "_flat", "_deltas", "_pair", "_bits",
                  "_rows", "_cols", "_ux", "_uy", "_energy", "_tsm", "_row_pen", "_col_pen",
-                 "_bit_rows", "_bit_cols", "_pen_rows", "_pen_cols", "_log", "_best", "_best_at")
+                 "_bit_rows", "_bit_cols", "_pen_rows", "_pen_cols", "_best", "_since_best")
 
     def __init__(self, problem: QuboProblem):
         n = problem.n
@@ -354,7 +356,7 @@ class ImplicitEvaluator:
         ) + self._lambda2 * sum((c - 1) ** 2 for c in self._cols)
         self._energy = self._ux * self._ux + self._uy * self._uy + pen - self._offset
         self._tsm = None  # the N x N parts, built by the next all_flip_deltas
-        self._log, self._best, self._best_at = [], self._energy, 0
+        self._best, self._since_best = self._energy, set()
 
     def energy(self) -> float:
         return self._energy
@@ -366,9 +368,10 @@ class ImplicitEvaluator:
         return self._best
 
     def best_bits(self) -> np.ndarray:
-        """The incumbent: the bits with every flip logged after it reverted."""
-        reverted = np.bincount(self._log[self._best_at:], minlength=self.dimension) % 2
-        return self.bits() ^ reverted.astype(np.int8)
+        """The incumbent: the bits with those flipped an odd number of times since it reverted."""
+        bits = self.bits()
+        bits[list(self._since_best)] ^= 1
+        return bits
 
     def flip_delta(self, a: int) -> float:
         i, j = divmod(a, self._n)
@@ -406,9 +409,12 @@ class ImplicitEvaluator:
         """Flip bit ``a`` and add ``delta`` to the energy: the ``flip_delta(a)``
         the caller already holds, or computed here when it is None."""
         self._energy = energy = self._energy + (self.flip_delta(a) if delta is None else delta)
-        self._log.append(a)
         if energy < self._best:
-            self._best, self._best_at = energy, len(self._log)
+            self._best, self._since_best = energy, set()
+        elif a in self._since_best:
+            self._since_best.remove(a)
+        else:
+            self._since_best.add(a)
         i, j = divmod(a, self._n)
         x = self._bits[a]
         s = 1 - 2 * x
@@ -487,13 +493,13 @@ def _write_export(problem: QuboProblem, fh):
 
 
 def load_qubo_export(path):
-    """Read a file written by :func:`export_qubo`; returns (matrix, offset).
+    """Read a file written by :func:`export_qubo`; returns (matrix, offset),
+    the matrix in symmetric form, so x^T Q x matches the original problem.
 
-    The matrix is reconstructed in symmetric form, so energies computed as
-    x^T Q x match the original problem. Blank lines are skipped, an entry
-    may name its pair as ``j i`` with ``j < i``, and of a pair given more than
-    once the last entry wins. A malformed header or entry line raises
-    ``ValueError`` quoting it.
+    Entries must be as the writer writes them: ``i j value`` joined by single
+    spaces, 0 <= i <= j < dim, pairs strictly ascending (so no ``j i`` pair
+    and no pair twice), no blank line. A malformed header, and the first
+    entry line that breaks these rules, raise ``ValueError`` quoting the line.
     """
     if hasattr(path, "read"):
         return _read_export(path)
@@ -519,70 +525,45 @@ def _read_export(fh):
         raise ValueError(
             f"malformed header line: {header.strip()!r} (expected '# dim <n> offset <value>')"
         ) from None
+    last = -1  # the pair key i * dim + j of the entry before the block
     while block := fh.read(EXPORT_CHUNK_CHARS):
-        chunk = (block + fh.readline()).split("\n")  # the block's last line finished
-        if not chunk[-1]:  # the empty string after a final newline
-            chunk.pop()
-        if not _write_parsed_chunk(q, chunk):
-            _write_entry_lines(q, [ln for ln in chunk if ln.strip()])
+        lines = (block + fh.readline()).split("\n")  # the block's last line finished
+        if not lines[-1]:  # the empty string after a final newline
+            lines.pop()
+        try:
+            last = _write_entries(q, lines, last)
+        except ValueError:  # the same rules a line at a time: the first line refused raises
+            for ln in lines:
+                last = _write_entries(q, [ln], last)
     return q, offset
 
 
-def _write_parsed_chunk(q: np.ndarray, chunk: list) -> bool:
-    """Write the entry lines ``chunk`` into ``q`` through numpy's parser and
-    return True, or write nothing and return False.
-
-    True needs every line to be three fields joined by single spaces, as
-    :func:`export_qubo` writes them (numpy skips a blank line, so its chunk is
-    refused), every index to lie in range and no two entries to name one pair,
-    so no two writes hit one cell. numpy's parser accepts part of what
-    ``str.split``, ``int`` and ``float`` accept, and reads it to the same
-    values; on a refused chunk :func:`_write_entry_lines` writes the same
-    matrix or raises."""
+def _write_entries(q: np.ndarray, lines: list, last: int) -> int:
+    """Write the entry lines ``lines`` into ``q``, parsed by numpy on the
+    single space, and return the last pair key i * dim + j; ``last`` is the
+    key before them. ``ValueError`` quoting ``lines[0]`` (so the offending
+    line when ``lines`` is one) if numpy refuses a line or reads a blank one
+    as no row, if an index lies outside 0..dim-1, or if a key is not above the
+    one before it or i > j."""
+    dim = q.shape[0]
     try:
         with warnings.catch_warnings():
-            # a warning refuses the chunk too: older numpy parses '1.0' into an
-            # int64 field with a DeprecationWarning, where int() raises
+            # a warning refuses the lines too: older numpy parses '1.0' into an
+            # int64 field with a DeprecationWarning
             warnings.simplefilter("error")
-            entries = np.loadtxt(chunk, _EXPORT_ENTRY, comments=None, delimiter=" ", ndmin=1)
+            entries = np.loadtxt(lines, _EXPORT_ENTRY, comments=None, delimiter=" ", ndmin=1)
+        if entries.size != len(lines):
+            raise ValueError
     except (ValueError, Warning):
-        return False
-    if entries.size != len(chunk):
-        return False
-    dim = q.shape[0]
+        raise ValueError(f"malformed entry line: {lines[0]!r} (expected 'i j value')") from None
     i, j, v = entries["i"], entries["j"], entries["v"]
-    low, high = np.minimum(i, j), np.maximum(i, j)
-    if low.min() < 0 or high.max() >= dim:
-        return False
-    pairs = np.sort(low * dim + high)
-    if np.any(pairs[1:] == pairs[:-1]):
-        return False
-    flat = q.reshape(-1)
-    diagonal = i == j
-    flat[i[diagonal] * (dim + 1)] = v[diagonal]
-    i, j, half = i[~diagonal], j[~diagonal], 0.5 * v[~diagonal]
-    flat[i * dim + j] = half
-    flat[j * dim + i] = half
-    return True
-
-
-def _write_entry_lines(q: np.ndarray, chunk: list):
-    """Write the entry lines ``chunk`` into ``q`` one at a time; the reference
-    parser, and the one that names a malformed line."""
-    dim = q.shape[0]
-    for ln in chunk:
-        fields = ln.split()
-        try:
-            if len(fields) != 3:
-                raise ValueError
-            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-        except ValueError:
-            raise ValueError(
-                f"malformed entry line: {ln.strip()!r} (expected 'i j value')"
-            ) from None
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"entry line {ln.strip()!r} has an index outside 0..{dim - 1}")
-        if i == j:
-            q[i, i] = v
-        else:
-            q[i, j] = q[j, i] = 0.5 * v
+    if np.minimum(i, j).min() < 0 or np.maximum(i, j).max() >= dim:
+        raise ValueError(f"entry line {lines[0].strip()!r} has an index outside 0..{dim - 1}")
+    keys = i * dim + j
+    if np.any(i > j) or np.any(np.diff(keys, prepend=last) <= 0):
+        raise ValueError(f"entry line {lines[0].strip()!r} is out of order (expected i <= j "
+                         "and each pair after the one before)")
+    values = np.where(i == j, v, 0.5 * v)
+    q.reshape(-1)[keys] = values
+    q.reshape(-1)[j * dim + i] = values
+    return int(keys[-1])

@@ -155,7 +155,10 @@ def default_imbalance_schedule(
         start = heuristic_solve(blades)
     d_start = imbalance(blades, disk, start).d
     spread = float(blades.masses.max() - blades.masses.min())
-    t_initial = max((2.0 * spread + d_start) ** 2, 1e-12)
+    try:
+        t_initial = max((2.0 * spread + d_start) ** 2, 1e-12)
+    except OverflowError:  # a scale past 1e154: AnnealSchedule refuses the inf
+        t_initial = math.inf
     return AnnealSchedule(t_initial, 1e-8 * t_initial, sweeps)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from turbobalance import (
     ImbalanceResult,
     SlotGeometry,
     imbalance,
+    heuristic_solve,
     imbalance_squared_cosform,
 )
 
@@ -184,6 +186,36 @@ def test_imbalance_result_computes_d_from_its_vector_and_refuses_one():
         assert type(result.d) is float
         with pytest.raises(TypeError, match="'d'"):
             ImbalanceResult(np.array(vector), d=result.d)
+
+
+@pytest.mark.parametrize("vector", [[1e155, 3.0], [-3e200, 4e200], [1e308, 1e308], [5e-324, 1.7e308]])
+def test_a_finite_residual_whose_squares_overflow_keeps_a_finite_d(vector):
+    # the sum of squares passes float64 above about 1.3e154; the norm does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = ImbalanceResult(np.array(vector))
+    assert result.d == math.hypot(*vector)
+    assert math.isfinite(result.d)
+
+
+def test_imbalance_of_a_huge_blade_at_the_heuristic_placement_is_finite():
+    blades = BladeSet([1e155, 1.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = imbalance(blades, DiskImbalance(), heuristic_solve(blades))
+    assert result.d == 1e155 == math.hypot(*result.vector.tolist())
+
+
+def test_d_below_overflow_is_the_numpy_norm_bit_for_bit():
+    # math.hypot differs from np.linalg.norm in the last bit on part of these,
+    # and every record and digest holds numpy's value
+    rng = np.random.default_rng(12)
+    vectors = rng.normal(size=(2000, 2)) * 10.0 ** rng.integers(-100, 150, size=(2000, 1))
+    for vector in vectors:
+        assert ImbalanceResult(vector).d == float(np.linalg.norm(vector))
+    infinite = [[math.inf, 1.0], [1.0, -math.inf], [math.inf, math.nan], [math.nan, 1e200]]
+    for vector in infinite:
+        assert repr(ImbalanceResult(np.array(vector)).d) == repr(float(np.linalg.norm(vector)))
 
 
 def test_slot_geometry_rejects_zero_slots():

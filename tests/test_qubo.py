@@ -479,6 +479,34 @@ def test_an_equal_energy_later_does_not_replace_the_incumbent(masses):
     assert np.array_equal(ev.best_bits(), first)
 
 
+def test_the_incumbent_of_a_long_walk_costs_memory_of_the_dimension_not_of_the_walk():
+    # the walk starts two flips from the best permutation and makes them
+    # first, so the incumbent comes early and 50,000 random flips follow it;
+    # a log of every flip since it would hold 400 KB of list slots alone
+    blades, disk = random_instance(np.random.default_rng(80), 5, with_disk=True)
+    problem = build_qubo(blades, disk, materialize=False)
+    ev = problem.evaluator()
+    start = encode(brute_force_solve(blades, disk).assignment).bits.copy()
+    start[[0, 1]] ^= 1
+    ev.reset(start)
+    flips = [0, 1] + np.random.default_rng(81).integers(problem.dimension, size=50_000).tolist()
+    lowest, snapshot, found_at = ev.energy(), ev.bits(), 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for step, a in enumerate(flips, 1):
+            ev.flip(a)
+            if ev.energy() < lowest:
+                lowest, snapshot, found_at = ev.energy(), ev.bits(), step
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < found_at <= 2
+    assert ev.best_energy() == lowest
+    assert np.array_equal(ev.best_bits(), snapshot)
+    assert growth < 20_000, growth
+
+
 def test_implicit_energy_matches_dense_qubo_energy():
     # qubo_energy runs on the evaluator whether or not a matrix was built, so
     # both problems give the same bits; x^T Q x of the built matrix is the reference
@@ -608,12 +636,8 @@ def test_load_equals_the_per_line_reference_on_exports(norm20_export):
 
 @pytest.mark.parametrize("chunk_chars", [1, 7, 40, EXPORT_CHUNK_CHARS])
 def test_load_parses_every_export_line_with_numpy(monkeypatch, norm20_export, chunk_chars):
-    # export_qubo writes no line that numpy's single-space parse refuses, so at
-    # any block size the per-line reader is never called
-    def refuse(q, chunk):
-        raise AssertionError(f"per-line reader called on {chunk[:2]!r}")
-
-    monkeypatch.setattr("turbobalance.qubo._write_entry_lines", refuse)
+    # numpy's single-space parse reads export_qubo's text at any block size to
+    # what the per-line reference reads
     monkeypatch.setattr("turbobalance.qubo.EXPORT_CHUNK_CHARS", chunk_chars)
     texts = [small_export()]
     if chunk_chars == EXPORT_CHUNK_CHARS:  # NORM20 in blocks of a few lines takes seconds
@@ -625,30 +649,68 @@ def test_load_parses_every_export_line_with_numpy(monkeypatch, norm20_export, ch
         assert offset == expected_offset
 
 
+def quotes_a_line(message: str, text: str) -> bool:
+    """Whether ``message`` quotes a line of ``text``, as read or stripped."""
+    return any(repr(ln) in message or repr(ln.strip()) in message for ln in text.split("\n"))
+
+
 # block sizes that cut lines in the middle (1, 2, 7, 40) and that hold a whole
-# text (4096 and the default)
+# text (4096 and the default); a block of 1 holds one line, so each pair key
+# is compared with the one carried from the block before
 @pytest.mark.parametrize("chunk_chars", [1, 2, 7, 40, 4096, EXPORT_CHUNK_CHARS])
-@pytest.mark.parametrize("entries", [
-    "0 1 2.0\n1 1 3.0\n2 3 4.0\n0 1 5.0\n",  # a repeated pair: the last entry wins
-    "0 1 2.0\n1 0 6.0\n",  # one pair in both orders
-    "\n0 1 2.0\n   \n\n1 1 3.0\n\t\n2 2 1.5\n",  # blank lines between entries
-    "0\t1\t2.0\n1\x0b2\x0b3.0\n",  # tab and vertical-tab separators
-    "1_0 3 2.0\n3 3 1.0\n",  # an index that int() reads and numpy refuses
-    "0 1 2.0\n1 1 3.0\n2 3 4.0",  # no newline after the last entry
-    "0 1 2.0\r\n1 1 3.0\r\n\r\n2 3 4.0\r\n",  # "\r\n" endings and a blank line
-    "0  1 2.0\n1 1 3.0 \n 2 3 4.0\n",  # doubled, trailing and leading spaces
+@pytest.mark.parametrize("entries, refused", [
+    ("0 1 2.0\n1 1 3.0\n2 3 4.0\n0 1 5.0\n", "0 1 5.0"),  # a repeated pair
+    ("0 1 2.0\n1 0 6.0\n", "1 0 6.0"),  # one pair in both orders
+    ("\n0 1 2.0\n   \n\n1 1 3.0\n\t\n2 2 1.5\n", ""),  # blank lines between entries
+    ("0\t1\t2.0\n1\x0b2\x0b3.0\n", "0\t1\t2.0"),  # tab and vertical-tab separators
+    ("1_0 3 2.0\n3 3 1.0\n", "1_0 3 2.0"),  # an index that int() reads and numpy refuses
+    ("0 1 2.0\n1 1 3.0\n2 3 4.0", None),  # no newline after the last entry: loads
+    # "\r\n" endings, which numpy reads as line ends, and a blank line
+    ("0 1 2.0\r\n1 1 3.0\r\n\r\n2 3 4.0\r\n", "\r"),
+    ("0  1 2.0\n1 1 3.0 \n 2 3 4.0\n", "0  1 2.0"),  # doubled, trailing and leading spaces
     # five 8-character lines, then a blank line where a 40-character block ends
-    # (and where every shorter block starts)
-    "0 1 2.0\n1 1 3.0\n2 3 4.0\n0 2 5.0\n3 3 1.0\n\n1 2 2.5\n",
+    # (and where every shorter block starts); the fourth line is out of order
+    ("0 1 2.0\n1 1 3.0\n2 3 4.0\n0 2 5.0\n3 3 1.0\n\n1 2 2.5\n", "0 2 5.0"),
+    # the same, in order, so the blank line is the first refused
+    ("0 1 2.0\n0 2 5.0\n1 1 3.0\n2 3 4.0\n3 3 1.0\n\n4 5 2.5\n", ""),
+    ("0 1 2.0\n0 1 2.0\n", "0 1 2.0"),  # one line twice
 ], ids=["repeated", "both-orders", "blank-lines", "tab-vtab", "underscore", "no-final-newline",
-        "crlf", "spaces", "blank-at-block-end"])
-def test_load_equals_the_per_line_reference_on_unusual_lines(monkeypatch, chunk_chars, entries):
+        "crlf", "spaces", "blank-at-block-end", "ordered-blank-at-block-end", "twice"])
+def test_load_equals_the_per_line_reference_on_unusual_lines(monkeypatch, chunk_chars, entries,
+                                                              refused):
+    # the loader reads only what export_qubo writes: any other text loads to
+    # exactly what the per-line reference loads, or is refused quoting its
+    # first line that breaks the writer's rules
     monkeypatch.setattr("turbobalance.qubo.EXPORT_CHUNK_CHARS", chunk_chars)
     text = "# dim 16 offset 0.5\n" + entries
-    matrix, offset = load_qubo_export(io.StringIO(text))
-    expected, expected_offset = reference_load(text)
-    assert np.array_equal(matrix, expected)
-    assert offset == expected_offset
+    if refused is None:
+        matrix, offset = load_qubo_export(io.StringIO(text))
+        expected, expected_offset = reference_load(text)
+        assert matrix.tobytes() == expected.tobytes()
+        assert offset == expected_offset
+        return
+    with pytest.raises(ValueError) as err:
+        load_qubo_export(io.StringIO(text))
+    assert repr(refused) in str(err.value)
+
+
+@pytest.mark.parametrize("edit", ["duplicate", "swap"])
+def test_load_refuses_a_pair_out_of_order_past_the_first_block(norm20_export, edit):
+    lines = norm20_export.splitlines(keepends=True)
+    ends = np.cumsum([len(ln) for ln in lines])
+    at = int(np.searchsorted(ends, ends[0] + EXPORT_CHUNK_CHARS)) + 100  # in the second block
+    i, j, v = lines[at].split()
+    assert i != j
+    if edit == "duplicate":
+        edited, text = lines[at], "".join(lines[:at + 1] + lines[at:])
+    else:  # the pair written as j i
+        edited = f"{j} {i} {v}\n"
+        text = "".join(lines[:at] + [edited] + lines[at + 1:])
+    expected, _ = reference_load(text)  # which loads both to the matrix of the export
+    assert np.array_equal(expected, reference_load(norm20_export)[0])
+    with pytest.raises(ValueError, match="out of order") as err:
+        load_qubo_export(io.StringIO(text))
+    assert repr(edited.strip()) in str(err.value)
 
 
 @pytest.mark.parametrize("bad", ["5 400 1.0\n", "5 7 x\n"], ids=["out-of-range", "malformed"])
@@ -716,19 +778,24 @@ def unusual_problem():
     })
 
 
+def nan_blocks_problem():
+    """A dim-9 matrix whose blades' blocks share values and hold NaNs."""
+    return hand_built_problem({
+        # blade 1's rows 0-2: a NaN, and a value next to its negation
+        (0, 0): 2.5, (0, 1): 1.5, (0, 2): -1.5, (1, 4): np.nan, (2, 2): 0.1,
+        # blade 2's rows 3-5: a NaN, one of blade 1's coefficients and two new ones
+        (3, 3): -0.75, (3, 4): 1.5, (4, 5): np.nan, (5, 5): 7.0,
+        # blade 3's rows 6-8 stay all zero
+    })
+
+
 @pytest.mark.parametrize("make_problem", [
     lambda: build_qubo(generate("NORM", 20, seed=3).blade_set(), DiskImbalance(500.0, 1.0)),
     lambda: build_qubo(*random_instance(np.random.default_rng(32), 4, with_disk=True)),
     lambda: build_qubo(BladeSet(np.full(5, 100.0)), DiskImbalance()),
     lambda: build_qubo(generate("BETA", 30, seed=4).blade_set(), DiskImbalance(300.0, 2.0)),
     unusual_problem,
-    lambda: hand_built_problem({
-        # blade 1's rows 0-2: a NaN, and a value next to its negation
-        (0, 0): 2.5, (0, 1): 1.5, (0, 2): -1.5, (1, 4): np.nan, (2, 2): 0.1,
-        # blade 2's rows 3-5: a NaN, one of blade 1's coefficients and two new ones
-        (3, 3): -0.75, (3, 4): 1.5, (4, 5): np.nan, (5, 5): 7.0,
-        # blade 3's rows 6-8 stay all zero
-    }),
+    nan_blocks_problem,
 ], ids=["norm20", "random4-disk", "equal-mass", "beta30-disk", "unusual", "nan-blocks"])
 def test_export_equals_the_per_entry_reference(make_problem):
     problem = make_problem()
@@ -740,6 +807,25 @@ def test_export_equals_the_per_entry_reference(make_problem):
     assert [(a, b) for a, b in zip(got.splitlines(), expected.splitlines()) if a != b][:1] == []
     assert got == expected
     assert buffer.writes == problem.dimension + 1  # the header, then one write per row
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, 40, EXPORT_CHUNK_CHARS])
+@pytest.mark.parametrize("make_problem", [
+    lambda: build_qubo(generate("NORM", 20, seed=3).blade_set(), DiskImbalance(500.0, 1.0)),
+    unusual_problem,
+    nan_blocks_problem,
+], ids=["norm20", "unusual", "nan-blocks"])
+def test_every_export_loads_back_bit_exact(monkeypatch, make_problem, chunk_chars):
+    # NaN, infinities, negative, subnormal and extreme elements and all-zero
+    # rows; the export leaves out zeros, so a -0.0 element loads as 0.0, the
+    # one difference adding 0.0 makes (NORM20's matrix has no zero)
+    problem = make_problem()
+    buffer = io.StringIO()
+    export_qubo(problem, buffer)
+    monkeypatch.setattr("turbobalance.qubo.EXPORT_CHUNK_CHARS", chunk_chars)
+    matrix, offset = load_qubo_export(io.StringIO(buffer.getvalue()))
+    assert matrix.tobytes() == (problem.matrix + 0.0).tobytes()
+    assert repr(offset) == repr(problem.constant_offset)
 
 
 def test_export_peaks_below_half_a_matrix():

@@ -146,8 +146,8 @@ def test_anneal_schedule_refuses_a_cooling_it_cannot_compute(t_initial, t_final,
 
 
 def test_a_schedule_scaled_past_float64_names_its_temperatures():
-    # (2 * spread + d)^2 overflows, so both temperatures are inf; so does the
-    # start's d, whose norm squares the residual first
+    # (2 * spread + d)^2 overflows, so both temperatures are inf; the start's
+    # d is a finite 1e155
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="t_final inf and t_initial inf"):
         default_imbalance_schedule(BladeSet([1e155, 1.0, 5.0]), DiskImbalance())
 
