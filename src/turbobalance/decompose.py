@@ -32,8 +32,9 @@ from .model import (
     derive_seed,
     imbalance,
 )
-from .solvers import (PARAMETER_CHECKS, SolveReport, check_blade_count, check_parameters,
-                      get_solver, heuristic_solve, keyword_parameters, prefixed)
+from .solvers import (PARAMETER_CHECKS, SolveReport, check_blade_count, check_count,
+                      check_parameters, get_solver, heuristic_solve, keyword_parameters,
+                      prefixed)
 
 #: Pseudo-mass given to a perfectly balanced group so the merge problem stays
 #: well-formed; placement of such a group is irrelevant to the objective.
@@ -293,7 +294,12 @@ def decompose_solve(
     includes N = 1.
     Otherwise a merge solver that cannot take the tree's leaf count raises
     ``ValueError`` (:func:`check_merge_size`) before any leaf is solved.
+    A ``seed`` that is not an integer of at least 0
+    (:func:`~turbobalance.solvers.check_count`) is a ``ValueError`` naming
+    ``seed``, raised before any seed is derived.
     """
+    with prefixed("seed"):
+        seed = check_count(seed, least=0)
     if config is None:
         config = DecompositionConfig()
     n = blades.n

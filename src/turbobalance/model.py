@@ -110,9 +110,16 @@ class Assignment:
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.int64)
-        if sigma.ndim != 1 or sigma.size < 1:
+        entries = np.asarray(self.sigma, dtype=object)  # each entry as given: a bool stays one
+        if entries.ndim != 1 or entries.size < 1:
             raise ValueError("assignment must be a non-empty 1-d sequence")
+        # checked before the int64 cast, which truncates 1.9 to 1 and reads True and "1" as 1
+        integral = all(isinstance(v, (int, float, np.integer, np.floating))
+                       and not isinstance(v, bool) and math.isfinite(v) and v == int(v)
+                       for v in entries.tolist())
+        if not integral:
+            raise ValueError(f"assignment entries must be integers, got {entries.tolist()}")
+        sigma = entries.astype(np.int64)
         n = sigma.size
         if not np.array_equal(np.sort(sigma), np.arange(1, n + 1)):
             raise ValueError(f"assignment is not a permutation of 1..{n}: {sigma.tolist()}")

@@ -21,6 +21,7 @@ it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -39,6 +40,8 @@ DEFAULT_PENALTY_FACTOR = 10.0
 #: characters of entry text :func:`load_qubo_export` reads at a time (about 2,400
 #: lines); larger blocks parse no faster and raise the peak memory of a load
 EXPORT_CHUNK_CHARS = 1 << 16
+#: the first line of an export, formatted with its dimension and constant offset
+_EXPORT_HEADER = "# dim {} offset {!r}\n"
 _EXPORT_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
@@ -278,12 +281,10 @@ def decode(config) -> Assignment | ValidityReport:
 
 def qubo_energy(problem: QuboProblem, config) -> float:
     """x^T Q x with penalties included (constant_offset NOT added), from the
-    problem's evaluator, whether or not a matrix was materialized; a wrong
-    bit count is the evaluator's ``ValueError``."""
-    if not isinstance(config, BinaryConfiguration):
-        config = BinaryConfiguration(np.asarray(config))
+    problem's evaluator, whether or not a matrix was materialized; bits the
+    evaluator's ``reset`` refuses are its ``ValueError``."""
     ev = problem.evaluator()
-    ev.reset(config.bits)
+    ev.reset(config.bits if isinstance(config, BinaryConfiguration) else config)
     return ev.energy()
 
 
@@ -446,11 +447,9 @@ def export_qubo(problem: QuboProblem, path):
     """
     if problem.matrix is None:
         raise ValueError("export needs a materialized matrix; build with materialize=True")
-    if hasattr(path, "write"):
-        _write_export(problem, path)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_export(problem, fh)
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(
+            path, "w", encoding="utf-8") as fh:
+        _write_export(problem, fh)
 
 
 def _write_export(problem: QuboProblem, fh):
@@ -459,7 +458,7 @@ def _write_export(problem: QuboProblem, fh):
     # distinct value goes through repr once; repr depends on the value alone
     # (zeros, whose sign repr shows, are never written, and every NaN is "nan")
     q, n, dim = problem.matrix, problem.n, problem.dimension
-    fh.write(f"# dim {dim} offset {float(problem.constant_offset)!r}\n")
+    fh.write(_EXPORT_HEADER.format(dim, float(problem.constant_offset)))
     column_texts = np.array([str(j) for j in range(dim)], dtype=object)
     try:
         with np.errstate(over="raise"):  # a finite element whose coefficient overflows
@@ -496,45 +495,37 @@ def load_qubo_export(path):
     """Read a file written by :func:`export_qubo`; returns (matrix, offset),
     the matrix in symmetric form, so x^T Q x matches the original problem.
 
-    Entries must be as the writer writes them: ``i j value`` joined by single
-    spaces, 0 <= i <= j < dim, pairs strictly ascending (so no ``j i`` pair
-    and no pair twice), no blank line. A malformed header, and the first
-    entry line that breaks these rules, raise ``ValueError`` quoting the line.
+    The first line must be the writer's header for the ``dim`` and offset it
+    names, byte for byte. Entries must be as the writer writes them:
+    ``i j value`` joined by single spaces, 0 <= i <= j < dim, pairs strictly
+    ascending (so no ``j i`` pair and no pair twice), no blank line. Any other
+    first line, and the first entry line that breaks these rules, raise
+    ``ValueError`` quoting the line.
     """
-    if hasattr(path, "read"):
-        return _read_export(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return _read_export(fh)
-
-
-def _read_export(fh):
-    # a block of lines at a time, so the text never sits in memory as a whole;
-    # lines end at "\n" only, as a text stream's lines do
-    header = next((ln for ln in fh if ln.strip()), None)
-    if header is None:
-        raise ValueError("empty QUBO export: expected a '# dim <n> offset <value>' header")
-    head = header.split()
-    try:
-        if len(head) != 5 or head[:2] != ["#", "dim"] or head[3] != "offset":
-            raise ValueError
-        dim, offset = int(head[2]), float(head[4])
-        if dim < 0:
-            raise ValueError
-        q = np.zeros((dim, dim))  # a dim too large to allocate is malformed too
-    except (ValueError, MemoryError):
-        raise ValueError(
-            f"malformed header line: {header.strip()!r} (expected '# dim <n> offset <value>')"
-        ) from None
-    last = -1  # the pair key i * dim + j of the entry before the block
-    while block := fh.read(EXPORT_CHUNK_CHARS):
-        lines = (block + fh.readline()).split("\n")  # the block's last line finished
-        if not lines[-1]:  # the empty string after a final newline
-            lines.pop()
+    with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, encoding="utf-8") as fh:
+        header = fh.readline()
         try:
-            last = _write_entries(q, lines, last)
-        except ValueError:  # the same rules a line at a time: the first line refused raises
-            for ln in lines:
-                last = _write_entries(q, [ln], last)
+            _, _, dim, _, offset = header.split(" ")
+            dim, offset = int(dim), float(offset)
+            if header != _EXPORT_HEADER.format(dim, offset):
+                raise ValueError
+            q = np.zeros((dim, dim))  # refuses a negative dim, or one too large to allocate
+        except (ValueError, MemoryError):
+            line = header.removesuffix("\n")
+            raise ValueError(f"malformed header line: {line!r} (expected "
+                             "'# dim <n> offset <value>')") from None
+        # a block of lines at a time, so the text never sits in memory as a whole;
+        # lines end at "\n" only, as a text stream's lines do
+        last = -1  # the pair key i * dim + j of the entry before the block
+        while block := fh.read(EXPORT_CHUNK_CHARS):
+            lines = (block + fh.readline()).split("\n")  # the block's last line finished
+            if not lines[-1]:  # the empty string after a final newline
+                lines.pop()
+            try:
+                last = _write_entries(q, lines, last)
+            except ValueError:  # the same rules a line at a time: the first line refused raises
+                for ln in lines:
+                    last = _write_entries(q, [ln], last)
     return q, offset
 
 

@@ -50,6 +50,8 @@ BRUTE_FORCE_TAIL = 7
 #: subtraction per block and no list: 1-5% of a solve less than taking
 #: ``m[a] - m[b]`` per move from three streams.
 IMBALANCE_SA_BLOCK_MOVES = 2048
+#: t_final / t_initial of both default annealing schedules
+_COOLING_RATIO = 1e-8
 
 
 def check_count(value, least: int = 1) -> int:
@@ -146,9 +148,10 @@ def default_imbalance_schedule(
     The start temperature must sit at the swap-move energy scale, not at the
     starting objective: one swap can move the residual vector by up to twice
     the mass spread, so d^2 changes by up to about (2*spread + d_start)^2.
-    Starting there lets the walk hop between basins early; cooling by 1e-8
-    overall freezes it well below the gaps between distinct placements. The
-    floor only matters for exactly equal masses, where any start is optimal.
+    Starting there lets the walk hop between basins early; cooling by
+    ``_COOLING_RATIO`` (1e-8) overall freezes it well below the gaps between
+    distinct placements. The floor only matters for exactly equal masses,
+    where any start is optimal.
     ``start`` is the walk's first placement (default: the heuristic's).
     """
     if start is None:
@@ -159,7 +162,14 @@ def default_imbalance_schedule(
         t_initial = max((2.0 * spread + d_start) ** 2, 1e-12)
     except OverflowError:  # a scale past 1e154: AnnealSchedule refuses the inf
         t_initial = math.inf
-    return AnnealSchedule(t_initial, 1e-8 * t_initial, sweeps)
+    return AnnealSchedule(t_initial, _COOLING_RATIO * t_initial, sweeps)
+
+
+def _generator(seed) -> np.random.Generator:
+    """A fresh generator on ``seed``, an integer of at least 0
+    (:func:`check_count`); ``ValueError`` naming ``seed`` otherwise."""
+    with prefixed("seed"):
+        return np.random.default_rng(check_count(seed, least=0))
 
 
 def _swap_draws(rng, n, temperatures):
@@ -209,6 +219,7 @@ def imbalance_sa_solve(
     move's mass difference m[a] - m[b] comes with the block, from one numpy
     subtraction: the same IEEE operation as per move, so the same walk.
     """
+    rng = _generator(seed)
     n = blades.n
     if n < 2:
         return SolveReport.of_assignment(blades, disk, Assignment.identity(n), 0)
@@ -219,7 +230,6 @@ def imbalance_sa_solve(
     if schedule is None:
         schedule = default_imbalance_schedule(blades, disk, start=start)
 
-    rng = np.random.default_rng(seed)
     sigma = start.slots0.tolist()
     z = SlotGeometry(n).unit_vectors()
     zx = z[:, 0].tolist()
@@ -260,9 +270,9 @@ def imbalance_sa_solve(
 
 
 def default_qubo_schedule(problem: QuboProblem, sweeps: int = 500) -> AnnealSchedule:
-    """Penalty-scaled schedule for QUBO annealing (cools by 1e-8 overall)."""
+    """Penalty-scaled schedule for QUBO annealing (cools by ``_COOLING_RATIO`` overall)."""
     t_initial = float(problem.lambda1.max() + problem.lambda2)
-    return AnnealSchedule(t_initial, 1e-8 * t_initial, sweeps)
+    return AnnealSchedule(t_initial, _COOLING_RATIO * t_initial, sweeps)
 
 
 def _report_from_bits(problem, bits, iterations):
@@ -292,7 +302,7 @@ def qubo_sa_solve(
     if schedule is None:
         schedule = default_qubo_schedule(problem)
     dim = problem.dimension
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     ev = problem.evaluator()
     ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
 
@@ -333,7 +343,7 @@ def tabu_solve(
     tenure = 10 + problem.n if tenure is None else check_count(tenure)
     max_iterations = 50 * dim if max_iterations is None else check_count(max_iterations)
 
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     ev = problem.evaluator()
     ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
     all_flip_deltas, flip = ev.all_flip_deltas, ev.flip

@@ -63,6 +63,16 @@ def test_no_split_passes_the_caller_seed_through():
     assert report.assignment == direct.assignment
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, -1], ids=["none", "bool", "float", "negative"])
+@pytest.mark.parametrize("n", [4, 12], ids=["at-most-the-cap", "above-the-cap"])
+def test_decompose_refuses_a_seed_that_is_not_a_count(monkeypatch, n, seed):
+    # brute force ignores its seed, and derive_seed would hash any seed as text
+    monkeypatch.setattr("turbobalance.decompose.derive_seed", None)
+    blades, disk = random_instance(np.random.default_rng(1), n, with_disk=True)
+    with pytest.raises(ValueError, match=r"^seed: must be an integer of at least 0"):
+        decompose_solve(blades, disk, BRUTE, seed=seed)
+
+
 def test_equal_masses_compose_to_zero():
     config = DecompositionConfig(max_subproblem=4, sub_solver="brute-force",
                                  merge_solver="brute-force")

@@ -155,9 +155,14 @@ def test_blade_set_is_immutable():
 
 
 def test_assignment_rejects_non_permutation():
-    for bad in ([1, 1], [0, 1], [2, 3], []):
+    for bad in ([1, 1], [0, 1], [2, 3], [], [1.9, 2.2], [1.5, 2.0], [True, 2], ["1", "2"]):
         with pytest.raises(ValueError):
             Assignment(bad)
+
+
+def test_assignment_accepts_integral_values_of_any_number_type():
+    for sigma in ([2.0, 1.0], np.array([2, 1], dtype=np.uint8), [np.int32(2), np.float32(1.0)]):
+        assert Assignment(sigma) == Assignment([2, 1])
 
 
 def test_assignment_equality_and_identity():

@@ -248,6 +248,12 @@ def test_energy_dimension_mismatch():
         qubo_energy(problem, [1, 0, 0, 1, 0, 0, 0, 0, 1])
 
 
+def test_energy_of_a_count_that_is_not_a_square_is_the_evaluators_error():
+    problem = build_qubo(BladeSet([1.0, 2.0]), DiskImbalance())
+    with pytest.raises(ValueError, match="expected 4 bits, got 5"):
+        qubo_energy(problem, [1, 0, 0, 1, 0])
+
+
 def test_evaluator_reset_rejects_the_wrong_bit_count():
     evaluator = build_qubo(BladeSet([1.0, 2.0]), DiskImbalance(), materialize=False).evaluator()
     with pytest.raises(ValueError, match="expected 4 bits, got 9"):
@@ -574,12 +580,42 @@ def test_export_and_load_take_a_path_as_well_as_a_file(tmp_path):
     "# dim 4 offset 0.0\n0 y 1.0\n",
     "# dim 4 offset 0.0\n0 1 b\n",
     "# dim 10000000000 offset 0.0\n",  # numpy refuses the size without allocating
+    # headers that int() and float() read, but that are not the writer's line
+    "# dim\t4\toffset\t0.0\n",
+    "# dim 0_4 offset 0.0\n",
+    "# dim +04 offset 0.0\n",
+    "# dim 4 offset 0.0  \n",
+    "# dim 4 offset  0.0\n",
+    "# dim 4 offset 2.0e2\n",
 ])
 def test_load_rejects_malformed_export(text):
     with pytest.raises(ValueError, match="header|entry|empty") as err:
         load_qubo_export(io.StringIO(text))
     if text:  # the message quotes the offending line
         assert repr(text.splitlines()[-1]) in str(err.value)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("\n# dim 4 offset 0.0\n", ""),  # a leading blank line
+    # "\r\n" on a stream that does not translate newlines, as io.StringIO's default
+    ("# dim 4 offset 0.0\r\n", "# dim 4 offset 0.0\r"),
+], ids=["leading-blank-line", "crlf-stream"])
+def test_load_refuses_a_first_line_that_is_not_the_header(text, line):
+    with pytest.raises(ValueError, match="malformed header line") as err:
+        load_qubo_export(io.StringIO(text))
+    assert f"line: {line!r} (" in str(err.value)
+
+
+def test_a_crlf_export_loads_through_the_path_api(tmp_path):
+    # a file opened in text mode reads "\r\n" as "\n"
+    problem = build_qubo(*random_instance(np.random.default_rng(32), 4, with_disk=True))
+    buffer = io.StringIO()
+    export_qubo(problem, buffer)
+    path = tmp_path / "q.txt"
+    path.write_bytes(buffer.getvalue().replace("\n", "\r\n").encode())
+    matrix, offset = load_qubo_export(path)
+    assert np.array_equal(matrix, problem.matrix)
+    assert offset == problem.constant_offset
 
 
 def reference_load(text):

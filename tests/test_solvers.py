@@ -781,3 +781,13 @@ def test_registry_reports_are_reproducible():
         second = solver(blades, disk, seed=2)
         assert first.valid == second.valid
         assert first.imbalance == second.imbalance
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, -1], ids=["none", "bool", "float", "negative"])
+@pytest.mark.parametrize("name", ["imbalance-sa", "qubo-sa", "tabu"])
+def test_a_seeded_solver_refuses_a_seed_that_is_not_a_count(name, seed):
+    # None would draw OS entropy and True would run as seed 1; default_rng
+    # refuses 1.5 (a TypeError) and -1 with messages that do not name the seed
+    blades, disk = random_instance(np.random.default_rng(16), 3, with_disk=True)
+    with pytest.raises(ValueError, match=r"^seed: must be an integer of at least 0"):
+        SOLVERS[name](blades, disk, seed)
