@@ -221,12 +221,12 @@ def imbalance_sa_solve(
     """
     rng = _generator(seed)
     n = blades.n
-    if n < 2:
-        return SolveReport.of_assignment(blades, disk, Assignment.identity(n), 0)
     if start is None:
         start = heuristic_solve(blades)
     if start.n != n:
         raise ValueError(f"start places {start.n} blades, instance has {n}")
+    if n < 2:
+        return SolveReport.of_assignment(blades, disk, Assignment.identity(n), 0)
     if schedule is None:
         schedule = default_imbalance_schedule(blades, disk, start=start)
 

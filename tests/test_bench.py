@@ -224,12 +224,16 @@ def test_summary_csv_layout():
 
 def test_load_corpus_skips_unreadable_instances(tmp_path, caplog):
     manifest, _ = standard_corpus(tmp_path, base_seed=0)
-    # corrupt one member
+    # corrupt one member, and give another a mass past the range of a float
     (tmp_path / "BETA20_0000.json").write_text("{broken")
+    huge = json.loads((tmp_path / "NORM20_0000.json").read_text())
+    huge["masses"][0] = 10 ** 400
+    (tmp_path / "NORM20_0000.json").write_text(json.dumps(huge))
     with caplog.at_level(logging.ERROR):
         corpus = load_corpus(manifest)
-    assert len(corpus) == 8
-    assert any("BETA20_0000" in message for message in caplog.text.splitlines())
+    assert len(corpus) == 7
+    for name in ("BETA20_0000", "NORM20_0000"):
+        assert any(name in message for message in caplog.text.splitlines())
 
 
 def test_oversized_brute_force_merge_is_refused_before_any_run(monkeypatch):

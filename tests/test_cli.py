@@ -1,10 +1,16 @@
 import argparse
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import turbobalance
 from conftest import same_name_manifest
-from turbobalance import decode, generate
+from turbobalance import Assignment, decode, generate, imbalance
 from turbobalance.bench import BENCH_SOLVERS
 from turbobalance.cli import _build_parser, main
 from turbobalance.datasets import write_manifest
@@ -30,7 +36,7 @@ def test_generate_single_instance(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--seed", "--serial"])
 def test_generate_refuses_a_negative_seed_or_serial_at_parse_time(tmp_path, capsys, flag):
     assert run_cli(["generate", "--family", "NORM", "--n", "5", flag, "-1",
-                    "--out-dir", str(tmp_path)]) == 1
+                    "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: turbobalance generate [-h]")
     assert f"argument {flag}: must be an integer of at least 0, got '-1'" in err
@@ -85,6 +91,9 @@ def test_generate_standard_corpus(tmp_path, capsys):
     assert (tmp_path / "manifest.json").exists()
     assert len(list(tmp_path.glob("*.json"))) == 10  # nine instances + manifest
     assert "manifest.json" in capsys.readouterr().out
+    # the names' serial is the seed
+    assert (tmp_path / "BETA20_0001.json").exists()
+    assert '"name": "BETA20_0001"' in (tmp_path / "manifest.json").read_text()
 
 
 def test_solve_outputs_json_report(tmp_path, capsys):
@@ -229,11 +238,18 @@ def test_penalty_factor_not_finite_above_one_exits_one_before_any_output(tmp_pat
 
 @pytest.mark.parametrize("solver", sorted(BENCH_SOLVERS))
 def test_solve_json_names_the_chosen_solver_and_seed(tmp_path, capsys, solver):
-    path = generate("NORM", 6, seed=2).save(tmp_path)
+    instance = generate("NORM", 6, seed=2)
+    path = instance.save(tmp_path)
     assert run_cli(["solve", str(path), "--solver", solver, "--seed", "7"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["solver"] == solver
     assert report["seed"] == 7
+    # the report is of a permutation, with the imbalance the library computes for it
+    assert report["valid"] and sorted(report["assignment"]) == list(range(1, 7))
+    assignment = Assignment(report["assignment"])
+    assert report["imbalance"] == imbalance(instance.blade_set(), instance.disk(), assignment).d
+    if solver == "brute-force":  # it counts every order
+        assert report["iterations"] == math.factorial(6)
 
 
 @pytest.mark.parametrize("solver", sorted(BENCH_SOLVERS))
@@ -255,6 +271,12 @@ def test_bench_refuses_an_oversized_brute_force_merge_before_any_output(tmp_path
     code = run_cli(["bench", "--manifest", str(manifest), "--solvers", "decompose",
                     "--merge-solver", "brute-force", "--sub-solver", "imbalance-sa",
                     "--max-subproblem", "3", "--repetitions", "1", "--out", str(out)])
+    assert code == 2
+    assert "16 groups" in capsys.readouterr().err
+    assert not out.exists()
+    code = run_cli(["solve", str(tmp_path / "BETA40_0000.json"), "--solver", "decompose",
+                    "--merge-solver", "brute-force", "--sub-solver", "imbalance-sa",
+                    "--max-subproblem", "3", "--output", str(out)])
     assert code == 2
     assert "16 groups" in capsys.readouterr().err
     assert not out.exists()
@@ -405,6 +427,7 @@ def test_usage_error_exits_one(tmp_path, capsys):
     ("bench", "imbalance-sa", "--sa-sweeps", "0"),
     ("bench", "qubo-sa", "--qubo-sweeps", "0"),
     ("bench", "heuristic", "--jobs", "two"),
+    ("bench", "heuristic", "--jobs", "0"),
     ("bench", "heuristic", "--base-seed", "-1"),  # a seed may be 0
     ("solve", "tabu", "--tenure", "0"),
     ("solve", "imbalance-sa", "--sweeps", "0"),
@@ -428,7 +451,7 @@ def test_count_flag_below_one_exits_one_before_any_output(tmp_path, capsys, comm
     assert not out.exists()
 
 
-def test_data_error_exits_two(tmp_path):
+def test_data_error_exits_two(tmp_path, capsys):
     assert run_cli(["solve", str(tmp_path / "missing.json"), "--solver", "heuristic"]) == 2
     assert run_cli(["generate", "--family", "F22SYN", "--n", "5",
                     "--out-dir", str(tmp_path)]) == 2
@@ -440,11 +463,21 @@ def test_data_error_exits_two(tmp_path):
     doc = generate("NORM", 5, seed=0).to_dict()
     doc["masses"][0] = 10 ** 400  # past the range of a float
     (tmp_path / "huge.json").write_text(json.dumps(doc))
+    capsys.readouterr()
     assert run_cli(["solve", str(tmp_path / "huge.json"), "--solver", "heuristic"]) == 2
-    # 10,000 blades make a 10^8 x 10^8 QUBO matrix (71 PiB): the allocation fails at once
-    path = generate("NORM", 10_000, seed=0).save(tmp_path)
-    assert run_cli(["export-qubo", str(path), "--out", str(tmp_path / "big.qubo")]) == 2
-    assert not (tmp_path / "big.qubo").exists()
+    assert "huge.json" in capsys.readouterr().err
+    # 10,000 blades make a 10^8 x 10^8 QUBO matrix (71 PiB): the allocation fails at once;
+    # masses of 1e154 make a QUBO whose constant offset overflows float64
+    big = generate("NORM", 10_000, seed=0).save(tmp_path)
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps({"name": "OVERFLOW", "masses": [1e154, 2e154, 3e154],
+                                    "bare_imbalance": {"m0": 0.0, "phi0": 0.0}}))
+    out = tmp_path / "out.qubo"
+    for path in (big, overflow):
+        assert run_cli(["export-qubo", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+    assert run_cli(["solve", str(overflow), "--solver", "tabu", "--max-iterations", "10"]) == 2
 
 
 def test_corpus_dir_env_override(tmp_path, monkeypatch):
@@ -464,6 +497,25 @@ def test_corpus_dir_env_override(tmp_path, monkeypatch):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "generate" in capsys.readouterr().out
+
+
+def test_the_module_entry_point_exits_with_the_cli_codes(tmp_path):
+    # the real process entry, `python -m turbobalance.cli`, through the interpreter
+    src = str(Path(turbobalance.__file__).parents[1])
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "turbobalance.cli", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+
+    assert run("--help").returncode == 0
+    jobs = run("bench", "--jobs", "0")
+    assert jobs.returncode == 1
+    assert jobs.stderr.startswith("usage: turbobalance bench [-h]")
+    missing = run("solve", "missing.json", "--solver", "heuristic")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("turbobalance: error: ")
+    assert missing.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("solvers, message", [

@@ -1,23 +1,11 @@
-import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from turbobalance import run_benchmark, standard_corpus
-from turbobalance.bench import load_corpus
+from turbobalance.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-
-SOLVERS = ["heuristic", "imbalance-sa", "qubo-sa", "tabu", "decompose"]
-
-#: the budgets of the bench flags below, as run_benchmark parameters
-PARAMS = {
-    "imbalance-sa": {"sweeps": 200},
-    "qubo-sa": {"sweeps": 20},
-    "tabu": {"max_iterations": 500},
-    "decompose": {"sub_solver_params": {"sweeps": 20}, "merge_solver_params": {"sweeps": 20}},
-}
 
 
 @pytest.mark.parametrize("with_imbalance, filename", [
@@ -25,28 +13,26 @@ PARAMS = {
     (True, "records_disk.json"),
 ])
 def test_fixed_seed_records_equal_the_golden_records(tmp_path, with_imbalance, filename):
-    """Every record of the fixed-seed schedule equals the checked-in one, but
-    for its wall time. The golden files are the records of
-
-        turbobalance generate --standard-corpus [--with-imbalance] --seed 0 --out-dir corpus
-        turbobalance bench --manifest corpus/manifest.json --format json \\
-            --solvers heuristic,imbalance-sa,qubo-sa,tabu,decompose --repetitions 1 \\
-            --sa-sweeps 200 --qubo-sweeps 20 --max-iterations 500 --out records_<corpus>.json
-
-    so a change that alters a fixed-seed record must regenerate them and say
-    which records change and why.
+    """Every record of the fixed-seed schedule, run through the CLI, equals the
+    checked-in one but for its wall time. The golden files are the records of
+    these two commands, so the bench flags must reach every solver (decompose's
+    qubo-sa leaves and merge among them), and a change that alters a
+    fixed-seed record must regenerate the files and say which records change
+    and why.
     """
-    manifest, _ = standard_corpus(tmp_path, base_seed=0, with_imbalance=with_imbalance)
-    records = run_benchmark(load_corpus(manifest), SOLVERS, repetitions=1, base_seed=0,
-                            solver_params=PARAMS)
-    golden = json.loads((GOLDEN / filename).read_text())
+    corpus, out = tmp_path / "corpus", tmp_path / filename
+    disk = ["--with-imbalance"] if with_imbalance else []
+    assert main(["generate", "--standard-corpus", *disk, "--seed", "0",
+                 "--out-dir", str(corpus)]) == 0
+    assert main(["bench", "--manifest", str(corpus / "manifest.json"), "--format", "json",
+                 "--solvers", "heuristic,imbalance-sa,qubo-sa,tabu,decompose", "--repetitions", "1",
+                 "--sa-sweeps", "200", "--qubo-sweeps", "20", "--max-iterations", "500",
+                 "--out", str(out)]) == 0
+    records, golden = json.loads(out.read_text()), json.loads((GOLDEN / filename).read_text())
     assert len(records) == len(golden) == 45
     for record, expected in zip(records, golden):
-        got = dataclasses.asdict(record)
         run = (expected["instance"], expected["solver"])
-        for key in ("instance", "solver", "repetition", "seed", "valid", "meets_threshold"):
-            assert got[key] == expected[key], (run, key)
-        if expected["imbalance"] is None:
-            assert got["imbalance"] is None, run
-        else:
-            assert got["imbalance"] == pytest.approx(expected["imbalance"], rel=1e-12, abs=0), run
+        assert record.keys() == expected.keys(), run
+        for key in expected.keys() - {"wall_time_ms", "imbalance"}:
+            assert record[key] == expected[key], (run, key)
+        assert record["imbalance"] == pytest.approx(expected["imbalance"], rel=1e-12, abs=0), run

@@ -411,6 +411,9 @@ def test_imbalance_sa_rejects_a_start_of_the_wrong_size():
     blades, disk = random_instance(np.random.default_rng(6), 9)
     with pytest.raises(ValueError, match="start"):
         imbalance_sa_solve(blades, disk, start=Assignment.identity(8))
+    # one blade has nothing to swap, but its start is checked all the same
+    with pytest.raises(ValueError, match="start places 2 blades, instance has 1"):
+        imbalance_sa_solve(BladeSet([1.0]), DiskImbalance(), start=Assignment([2, 1]))
 
 
 def test_qubo_sa_single_blade():
