@@ -52,6 +52,10 @@ BRUTE_FORCE_TAIL = 7
 IMBALANCE_SA_BLOCK_MOVES = 2048
 #: t_final / t_initial of both default annealing schedules
 _COOLING_RATIO = 1e-8
+#: above every acceptance threshold -t*log(u) over t: a nonzero u from
+#: ``Generator.random()`` is a multiple of 2**-53, so -log(u) <= 53*ln(2) = 36.7368...;
+#: the margin of 9e-5 relative covers the rounding of thresholds and temperatures
+_FROZEN_THRESHOLD_RATIO = 36.74
 
 
 def check_count(value, least: int = 1) -> int:
@@ -298,6 +302,15 @@ def qubo_sa_solve(
     below -t*log(u), the rule of imbalance-sa, with each sweep's thresholds
     drawn with its order. The lowest-energy configuration seen is decoded
     and reported honestly: it may violate the one-hot constraints.
+
+    The walk stops once it is provably frozen: after a sweep that accepts no
+    flip, if every flip delta exceeds ``_FROZEN_THRESHOLD_RATIO`` times the
+    next sweep's temperature, no later threshold can reach one (temperatures
+    only fall), so the state and the incumbent are final. The report is the
+    one of running every sweep, save for a run whose skipped draws would have
+    held a uniform of exactly 0.0 (probability 2**-53 a draw), whose infinite
+    threshold accepts any flip. ``iterations`` counts the flips proposed:
+    sweeps run times N^2.
     """
     if schedule is None:
         schedule = default_qubo_schedule(problem)
@@ -306,16 +319,23 @@ def qubo_sa_solve(
     ev = problem.evaluator()
     ev.reset(rng.integers(0, 2, size=dim, dtype=np.int8))
 
-    for t in schedule.temperatures().tolist():
+    temperatures = schedule.temperatures().tolist()
+    for sweeps_run, t in enumerate(temperatures, 1):
         order = rng.permutation(dim).tolist()
         with np.errstate(divide="ignore"):  # u = 0 gives an infinite threshold
             threshold = (-t * np.log(rng.random(dim))).tolist()
+        idle = True
         for a, th in zip(order, threshold):
             delta = ev.flip_delta(a)
             if delta < th:
                 ev.flip(a, delta)
+                idle = False
+        if idle and sweeps_run < len(temperatures):
+            bound = _FROZEN_THRESHOLD_RATIO * temperatures[sweeps_run]
+            if all(ev.flip_delta(a) > bound for a in range(dim)):
+                break
 
-    return _report_from_bits(problem, ev.best_bits(), schedule.sweeps * dim)
+    return _report_from_bits(problem, ev.best_bits(), sweeps_run * dim)
 
 
 def tabu_solve(

