@@ -11,12 +11,12 @@ constants from expanding the penalty squares) in ``constant_offset`` so that
 ``energy(x) + constant_offset == d(x)**2`` for every valid configuration.
 
 The dense N^2 x N^2 matrix Q is built only on request (``materialize=True``),
-in place in one array, and is what :func:`export_qubo` writes for external
-annealers. No solver touches it. The one evaluator,
-:class:`ImplicitEvaluator`, supports single bit flips with incremental energy
-deltas, scalar or all at once, and never materializes Q, which keeps large
-instances (N^2 in the thousands) cheap; qubo-sa and tabu search both run on
-it.
+in place in one array from kron(m m^T, C), C the circulant N x N table of slot
+cosines, and is what :func:`export_qubo` writes for external annealers. No
+solver touches it. The one evaluator, :class:`ImplicitEvaluator`, supports
+single bit flips with incremental energy deltas, scalar or all at once, and
+never materializes Q, which keeps large instances (N^2 in the thousands)
+cheap; qubo-sa and tabu search both run on it.
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ class ValidityReport:
 class QuboProblem:
     """Compiled QUBO for one balancing instance.
 
-    ``matrix`` is the full symmetric matrix (objective plus penalties), the
-    only dense matrix a problem stores; it is ``None`` when the problem was
-    built with ``materialize=False``. ``lambda1[i-1]`` is the penalty weight
-    of blade i's row constraint, ``lambda2`` the shared column weight.
+    ``matrix`` is the full symmetric matrix (objective kron(m m^T, C), disk
+    diagonal and penalties), the only dense matrix a problem stores; ``None``
+    when built with ``materialize=False``. ``lambda1[i-1]`` is the penalty
+    weight of blade i's row constraint, ``lambda2`` the shared column weight.
     ``constant_offset`` = m0^2 + sum(lambda1) + N * lambda2 comes from the other fields;
     a problem whose offset overflows float64 is a ``ValueError`` naming N and
     the largest mass. A finite offset bounds every entry of the matrix.
@@ -167,7 +167,7 @@ def check_penalty_factor(value) -> float:
 def objective_matrix_termwise(blades: BladeSet, disk: DiskImbalance) -> np.ndarray:
     """Objective matrix assembled term by term.
 
-    Deliberately independent of the outer-product construction in
+    Deliberately independent of the broadcast Kronecker construction in
     :func:`build_qubo`: loops over blade pairs and writes the coupling blocks
     m_i*m_k*cos(phi_j - phi_l) plus the diagonal disk terms
     2*m0*m_i*cos(phi0 - phi_j). Used to cross-check the builder.
@@ -187,16 +187,16 @@ def objective_matrix_termwise(blades: BladeSet, disk: DiskImbalance) -> np.ndarr
 
 
 def _fill_objective(out: np.ndarray, blades: BladeSet, disk: DiskImbalance) -> np.ndarray:
-    """Write the objective matrix q^T q + 2 diag(y^T q), with q the
-    2 x N^2 matrix whose column (i, j) is m_i * z_j, into ``out`` and return
-    a view of its diagonal."""
-    n = blades.n
+    """Write the objective matrix kron(m m^T, C) + 2 diag(y^T q) into ``out``
+    and return a view of its diagonal, with C[j, l] = cos(phi_j - phi_l) and q
+    the 2 x N^2 matrix whose column (i, j) is m_i * z_j."""
+    n, m, d = blades.n, blades.masses, np.arange(blades.n)
     z = SlotGeometry(n).unit_vectors()
-    q = (blades.masses[:, None, None] * z[None, :, :]).reshape(n * n, 2).T
-    # both operands are views of one buffer, so numpy computes the product as
-    # a symmetric rank-k update (BLAS syrk) and mirrors one triangle: the
-    # result is exactly symmetric, as a general product need not be
-    np.matmul(q.T, q, out=out)
+    # C[j, l] = c[(j - l) mod N], c[d] = cos(phi_min(d, N-d)): mirrored, so C is exactly symmetric
+    table = z[np.minimum(d, n - d), 0][(d[:, None] - d) % n]
+    np.multiply(np.multiply.outer(m, m)[:, None, :, None], table[None, :, None, :],
+                out=out.reshape(n, n, n, n))
+    q = (m[:, None, None] * z[None, :, :]).reshape(n * n, 2).T
     diagonal = np.einsum("ii->i", out)
     diagonal += 2.0 * (disk.vector @ q)
     return diagonal
@@ -210,10 +210,10 @@ def build_qubo(
 ) -> QuboProblem:
     """Compile an instance into its one-hot QUBO.
 
-    The objective part comes from the outer-product form: with q the 2 x N^2
-    matrix whose column (i, j) is m_i * z_j, the matrix is
-    q^T q + 2 diag(y^T q). Penalties are ``penalty_factor`` times the strict
-    lower bounds from :func:`min_penalties`; :func:`check_penalty_factor`
+    The objective is kron(m m^T, C), C[j, l] = cos(phi_j - phi_l) the circulant
+    slot table, by one broadcast multiply, plus the disk diagonal 2 diag(y^T q),
+    column (i, j) of q being m_i * z_j. Penalties are ``penalty_factor`` times
+    the strict lower bounds from :func:`min_penalties`; :func:`check_penalty_factor`
     rejects a factor that is not finite and above 1. A problem whose constant
     offset overflows is refused by :class:`QuboProblem` on that scalar alone,
     with no overflow warning and before any matrix is allocated.

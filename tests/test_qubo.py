@@ -107,16 +107,17 @@ def test_construction_paths_agree():
 
 def _kron_build(blades, disk, penalty_factor):
     """Reference (objective, matrix) pair from full-size temporaries: the
-    Kronecker-product construction that build_qubo replaced by an in-place
-    fill with the same float operations."""
+    literal Kronecker product kron(m m^T, C) of the mass outer product with
+    the circulant slot table C[j, l] = cos(phi_min(d, N-d)), d = (j - l) mod N,
+    which build_qubo writes in place with the same float operations."""
     n = blades.n
     bounds, bound2 = min_penalties(blades, disk)
     lambda1 = penalty_factor * bounds
     lambda2 = penalty_factor * bound2
     z = SlotGeometry(n).unit_vectors()
+    table = np.array([[z[min((j - l) % n, (l - j) % n), 0] for l in range(n)] for j in range(n)])
+    objective = np.kron(np.outer(blades.masses, blades.masses), table)
     q = (blades.masses[:, None, None] * z[None, :, :]).reshape(n * n, 2).T
-    objective = q.T @ q
-    objective = 0.5 * (objective + objective.T)
     objective[np.diag_indices(n * n)] += 2.0 * (disk.vector @ q)
     ones = np.ones((n, n))
     row_pen = np.kron(np.diag(lambda1), ones)
@@ -150,13 +151,31 @@ def test_in_place_build_peaks_at_one_matrix():
 
 
 def test_matrix_is_exactly_symmetric():
-    # nothing symmetrizes the product: it is exact because the builder
-    # multiplies q^T by q as two views of one buffer
+    # nothing symmetrizes the matrix: it is exact because the slot cosine
+    # table is mirrored, c[d] is c[N - d], and m_i * m_k equals m_k * m_i
     for n in (7, 17, 23, 40):
         blades, disk = random_instance(np.random.default_rng(22), n, with_disk=True)
         problem = build_qubo(blades, disk)
         assert np.array_equal(problem.matrix, problem.matrix.T), n
         assert np.array_equal(problem.objective_matrix, problem.objective_matrix.T), n
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 17, 23, 40])
+def test_balanced_matrix_is_circulant_in_the_slots(n):
+    """On a balanced disk the objective depends on slot differences alone:
+    turning every blade one slot gives the same matrix bit for bit, and each
+    blade pair's block holds at most floor(N/2) + 1 distinct values."""
+    blades, disk = random_instance(np.random.default_rng(300 + n), n)
+    problem = build_qubo(blades, disk)
+    objective = problem.objective_matrix
+    turned = np.arange(n * n).reshape(n, n)[:, np.roll(np.arange(n), -1)].ravel()
+    for matrix in (problem.matrix, objective):
+        assert np.array_equal(matrix[np.ix_(turned, turned)], matrix)
+    blocks = objective.reshape(n, n, n, n)
+    for i in range(n):
+        for k in range(n):
+            if i != k:
+                assert np.unique(blocks[i, :, k, :]).size <= n // 2 + 1, (i, k)
 
 
 def test_encode_goldens():
